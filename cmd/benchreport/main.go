@@ -26,6 +26,7 @@ import (
 	"ghostspec/internal/randtest"
 	"ghostspec/internal/suite"
 	"ghostspec/internal/telemetry"
+	"ghostspec/internal/telemetry/trace"
 )
 
 func main() {
@@ -266,15 +267,25 @@ func e7Performance(reps int) error {
 	suiteOff := timeIt(func() { suite.Run(suite.Options{Ghost: false}) })
 	suiteOn := timeIt(func() { suite.Run(suite.Options{Ghost: true}) })
 
-	// Memory impact after a working session.
-	hv, err := hyp.New(hyp.Config{})
+	// Memory impact after a working session, and the oracle's time
+	// during it from its spans.
+	spans := trace.NewTracer(1, 1<<18)
+	hv, err := hyp.New(hyp.Config{Tracer: spans})
 	if err != nil {
 		return err
 	}
 	rec := ghost.Attach(hv)
 	tr := randtest.New(proxy.New(hv), rec, 99, true)
+	trace.SetEnabled(true)
 	tr.Run(2000)
+	trace.SetEnabled(false)
 	st := rec.Stats()
+	var oracle time.Duration
+	for _, a := range spans.Aggregate() {
+		if oracleSpan(a.Name) {
+			oracle += a.Total
+		}
+	}
 
 	fmt.Println("paper:    boot 1.49s→4.76s (3.2x); handwritten tests 1.07s→12.3s (11.5x); ghost memory ~18MB")
 	fmt.Printf("measured: boot  %v → %v (%.1fx)\n", bootOff, bootOn, ratio(bootOn, bootOff))
@@ -282,9 +293,9 @@ func e7Performance(reps int) error {
 		suiteOff.Round(time.Millisecond), suiteOn.Round(time.Millisecond), ratio(suiteOn, suiteOff))
 	fmt.Printf("measured: ghost state after 2000 random steps: %d live maplets; %d simulated frames touched (%.1f MB)\n",
 		st.MapletsLive, hv.Mem.FrameCount(), float64(hv.Mem.FrameCount())*4096/1e6)
-	fmt.Printf("measured: time inside ghost hooks during those steps: %v across %d traps (%.0fµs/trap)\n",
-		st.HookTime.Round(time.Millisecond), st.Traps,
-		float64(st.HookTime.Microseconds())/float64(max(st.Traps, 1)))
+	fmt.Printf("measured: time inside oracle spans during those steps: %v across %d traps (%.0fµs/trap)\n",
+		oracle.Round(time.Millisecond), st.Traps,
+		float64(oracle.Microseconds())/float64(max(st.Traps, 1)))
 	if h, ok := telemetry.Snapshot().Histogram(`hyp_trap_latency_ns{reason="hvc"}`); ok && h.Count > 0 {
 		fmt.Printf("measured: live hypercall latency over %d calls: p50 <= %dns, p99 <= %dns\n",
 			h.Count, h.Quantile(0.5), h.Quantile(0.99))

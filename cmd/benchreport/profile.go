@@ -98,6 +98,15 @@ type profileReport struct {
 	Pass     bool            `json:"pass"`
 }
 
+// oracleSpan reports whether a span is one of the oracle's outermost
+// spans inside a trap: the per-component recording at lock acquire and
+// release, the separation and TLB-coherence checks at release, and the
+// trap-exit check. ghost.verify nests inside the recording spans.
+func oracleSpan(name string) bool {
+	return name == "ghost.check" || name == "ghost.separation" || name == "ghost.tlb-coherence" ||
+		strings.HasPrefix(name, "ghost.record:")
+}
+
 func runProfile(path, traceOut string) error {
 	fmt.Println("==================== execution profile ====================")
 	rep := profileReport{
@@ -160,10 +169,13 @@ func runProfile(path, traceOut string) error {
 		}
 		return out
 	}
-	var trapNames []string
+	var trapNames, oracleNames []string
 	for name := range totals {
 		if strings.HasPrefix(name, "hyp.trap:") {
 			trapNames = append(trapNames, name)
+		}
+		if oracleSpan(name) {
+			oracleNames = append(oracleNames, name)
 		}
 	}
 
@@ -188,7 +200,7 @@ func runProfile(path, traceOut string) error {
 		sum("hypercall", trapNames...),
 		sum("pgtable", "pgtable.mutate"),
 		sum("tlb", "tlb.fill", "tlb.invalidate"),
-		sum("oracle", "ghost.check", "ghost.verify"),
+		sum("oracle", oracleNames...),
 		sum("snapshot", "snapshot.capture", "snapshot.cow-fault"),
 	}
 

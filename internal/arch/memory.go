@@ -220,18 +220,17 @@ func (m *Memory) ReadPTE(table PhysAddr, idx int) PTE {
 	return PTE(m.Read64(table + PhysAddr(idx*8)))
 }
 
-// ReadFrame copies the whole frame containing pa in one frame lookup.
-// Bulk readers (the ghost page-table interpreter scans all 512 slots
-// of every table page) pay one map access instead of one per word;
-// the per-word loads stay atomic so the copy is safe against racing
-// writers, though as with any multi-word read it is not a snapshot.
-func (m *Memory) ReadFrame(pa PhysAddr) Frame {
+// ReadFrame copies the whole frame containing pa into dst in one frame
+// lookup. Bulk readers (the ghost page-table interpreter scans all 512
+// slots of every table page) pay one map access instead of one per
+// word, and write straight into the buffer they keep; the per-word
+// loads stay atomic so the copy is safe against racing writers, though
+// as with any multi-word read it is not a snapshot.
+func (m *Memory) ReadFrame(pa PhysAddr, dst *Frame) {
 	c := m.frame(pa)
-	var out Frame
 	for i := range c.f {
-		out[i] = atomic.LoadUint64(&c.f[i])
+		dst[i] = atomic.LoadUint64(&c.f[i])
 	}
-	return out
 }
 
 // WritePTE stores a descriptor at index idx of the table page at

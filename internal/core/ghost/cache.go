@@ -1,8 +1,8 @@
 package ghost
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,12 +15,17 @@ import (
 // to re-interpret each component's full 4-level table on every lock
 // acquire and release — the dominant term of the ghost overhead the
 // paper measures in §6. But a table's meaning only changes where
-// descriptors are written, so the cache keys the interpreted
-// Mapping/Footprint on (root, per-table-page write generations from
-// arch.Memory) and on each hook re-walks only the subtrees under table
-// pages whose generation moved, splicing the re-interpreted ranges
-// into the cached mapping. A write to the root page, or a root change,
-// falls back to a full walk.
+// descriptors are written, so the cache keeps, for every table page of
+// the tree, the generation it last observed (arch.Memory bumps a
+// frame's generation on every store) and a copy of the 512 descriptors
+// it last interpreted. On each hook it re-reads only the table pages
+// whose generation moved, compares them with the stored copies, and
+// re-interprets only the runs of changed descriptors, splicing each
+// run's meaning over its own input range of the cached mapping. The
+// root is one more table page: a write to it costs the same diff. A
+// cold cache, or a different root, starts from a root page whose
+// stored descriptors are all invalid, so the same diff interprets the
+// whole tree.
 //
 // The walker here is deliberately a separate implementation from
 // InterpretPgtable: the Recorder's VerifyCache mode runs both side by
@@ -31,38 +36,37 @@ import (
 type CacheOutcome uint8
 
 const (
-	// CacheHit: no cached table page changed; the stored abstraction
-	// was returned as is.
+	// CacheHit: no descriptor changed; the stored abstraction was
+	// returned as is.
 	CacheHit CacheOutcome = iota
-	// CachePartial: some table pages changed; only their subtrees were
+	// CachePartial: some descriptors changed; only they were
 	// re-interpreted and spliced into the stored abstraction.
 	CachePartial
-	// CacheFull: first use, a different root, or a write to the root
-	// page itself — the whole tree was re-interpreted.
+	// CacheFull: first use or a different root — the whole tree was
+	// re-interpreted.
 	CacheFull
 )
 
-// cachedTable is the cache's record of one table page: where its
-// generation counter lives, the generation observed before the last
-// read of its entries, and the position (level, covered input-address
-// base) it occupied in the tree.
-//
-// Observing the generation before reading the entries pairs with
-// Memory bumping it after each store: a racing writer can at worst
-// make fresh data look stale (forcing a needless re-walk later),
-// never stale data look fresh.
+// cachedTable is the cache's record of one table page: its frame,
+// where its generation counter lives, the generation observed before
+// the last read of its entries, the descriptors read then, and the
+// position (level, covered input-address base) it occupies in the
+// tree. A nil gen marks a free slot, which keeps its descriptor buffer
+// for the next table page cached there.
 type cachedTable struct {
 	gen    *atomic.Uint64
 	seen   uint64
+	descs  *arch.Frame
+	pfn    arch.PFN
 	level  int
 	vaBase uint64
 }
 
-// tableSpan returns the bytes of input-address space covered by one
-// whole table page at the given level (the root, level 0, covers the
-// full 48-bit space).
-func tableSpan(level int) uint64 {
-	return arch.LevelSize(level) * arch.PTEsPerTable
+// changedRun is a run [lo, hi) of changed descriptors in one table
+// page, waiting to be re-interpreted.
+type changedRun struct {
+	slot, lo, hi, level int
+	vaBase              uint64
 }
 
 // CacheStats counts a cache's interpretation outcomes.
@@ -70,8 +74,8 @@ type CacheStats struct {
 	Hits         uint64
 	PartialWalks uint64
 	FullWalks    uint64
-	// PagesWalked is the number of table pages (re-)interpreted across
-	// all full and partial walks — the work the cache actually did,
+	// PagesWalked is the number of table pages (re-)read across all
+	// walks and descriptor diffs — the work the cache actually did,
 	// against which hits measure the work it avoided.
 	PagesWalked uint64
 }
@@ -90,125 +94,137 @@ func (s *CacheStats) add(o CacheStats) {
 // whose locking is broken, so the cache never relies on the
 // component's lock for its own consistency.
 type PgtableCache struct {
-	mu     sync.Mutex
-	valid  bool
-	root   arch.PhysAddr
-	tables map[arch.PFN]*cachedTable
+	mu    sync.Mutex
+	valid bool
+	root  arch.PhysAddr
+	// tables holds every cached table page, indexed by slot; slots
+	// maps a table page's frame to its slot, and free lists the slots
+	// whose table pages left the tree.
+	tables []cachedTable
+	free   []int
+	slots  map[arch.PFN]int
 	abs    AbstractPgtable
 	stats  CacheStats
+
+	// Scratch reused across calls.
+	dirty []int
+	runs  []changedRun
+	sub   Mapping
 }
 
 // Interpret returns the abstraction of the table rooted at root,
-// re-interpreting only what changed since the previous call. The
-// returned abstraction is a copy-on-write clone: the caller may hold
-// it indefinitely, and later cache updates will not mutate it.
+// re-interpreting only the descriptors that changed since the previous
+// call. The returned abstraction is a copy-on-write clone: the caller
+// may hold it indefinitely, and later cache updates will not mutate it.
 func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPgtable, CacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
+	dirty := c.dirty[:0]
+	outcome := CachePartial
 	if !c.valid || c.root != root {
-		return c.rebuild(m, root), CacheFull
-	}
-
-	rootPFN := arch.PhysToPFN(root)
-	type dirtyTable struct {
-		pfn arch.PFN
-		t   *cachedTable
-	}
-	var dirty []dirtyTable
-	for pfn, t := range c.tables {
-		if t.gen.Load() != t.seen {
-			if pfn == rootPFN {
-				// The root's entries each select a whole 512GB subtree;
-				// incremental splicing buys nothing there.
-				return c.rebuild(m, root), CacheFull
+		// A cold cache holds only the root page, every stored
+		// descriptor invalid: diffing it interprets the whole tree.
+		c.tables, c.free, c.slots = nil, nil, make(map[arch.PFN]int, len(c.slots))
+		c.abs = AbstractPgtable{}
+		c.root, c.valid = root, true
+		dirty = append(dirty, c.slot(m, root, arch.StartLevel, 0))
+		outcome = CacheFull
+	} else {
+		for s := range c.tables {
+			if t := &c.tables[s]; t.gen != nil && t.gen.Load() != t.seen {
+				dirty = append(dirty, s)
 			}
-			dirty = append(dirty, dirtyTable{pfn, t})
 		}
 	}
+	c.dirty = dirty
 	if len(dirty) == 0 {
-		c.stats.Hits++
-		if !telemetry.Disabled() {
-			ghostCacheHits.Inc()
-		}
-		return c.abs.Clone(), CacheHit
+		return c.hit(), CacheHit
 	}
 
-	// Keep only the top dirty subtrees: shallowest first, then drop any
-	// dirty table lying inside an earlier top's span. Structural
-	// changes (detach, free, frame reuse) always write a still-live
-	// ancestor table, so every stale cache entry is covered by some
-	// live top — and a covering top is strictly shallower, which the
-	// (level, vaBase) sort order guarantees we meet first.
-	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].t.level != dirty[j].t.level {
-			return dirty[i].t.level < dirty[j].t.level
+	// Diff the dirty pages top-down, so a page's stored copy is still
+	// the one its cached subtree was built from when an ancestor's
+	// changed table descriptor drops that subtree. Every drop happens
+	// before any descent, so the tables a descent re-adds (a freed frame
+	// reused elsewhere) are never dropped again.
+	slices.SortFunc(dirty, func(a, b int) int {
+		ta, tb := &c.tables[a], &c.tables[b]
+		if ta.level != tb.level {
+			return ta.level - tb.level
 		}
-		return dirty[i].t.vaBase < dirty[j].t.vaBase
+		return cmp.Compare(ta.vaBase, tb.vaBase)
 	})
-	var tops []dirtyTable
-	for _, d := range dirty {
-		contained := false
-		for _, top := range tops {
-			if top.t.level < d.t.level &&
-				d.t.vaBase >= top.t.vaBase && d.t.vaBase < top.t.vaBase+tableSpan(top.t.level) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			tops = append(tops, d)
-		}
-	}
-
-	// Drop every cached entry inside a span about to be re-walked —
-	// stale entries for freed or reparented tables would otherwise
-	// linger. All deletions happen before any re-walk, so entries the
-	// walks re-add survive.
-	for _, top := range tops {
-		lo, hi := top.t.vaBase, top.t.vaBase+tableSpan(top.t.level)
-		for pfn, t := range c.tables {
-			if t.level >= top.t.level && t.vaBase >= lo && t.vaBase < hi {
-				delete(c.tables, pfn)
-			}
-		}
-	}
-
+	runs := c.runs[:0]
+	structural := false
 	pages := 0
-	for _, top := range tops {
-		var sub AbstractPgtable
-		sub.Mapping.Grow(32)
-		pages += interpretCached(m, top.pfn.Phys(), top.t.level, top.t.vaBase, &sub, c.tables)
-		c.abs.Mapping.SpliceRange(top.t.vaBase, tableSpan(top.t.level)>>arch.PageShift,
-			sub.Mapping.Maplets())
+	for _, s := range dirty {
+		t := &c.tables[s]
+		if t.gen == nil {
+			continue // dropped with an ancestor's subtree above
+		}
+		pages++
+		t.seen = t.gen.Load()
+		var cur arch.Frame
+		m.ReadFrame(t.pfn.Phys(), &cur)
+		old := t.descs
+		for idx := range cur {
+			if cur[idx] == old[idx] {
+				continue
+			}
+			was, now := old.PTE(idx), cur.PTE(idx)
+			if was.Kind(t.level) == arch.EKTable {
+				c.drop(was.TableAddr(), t.level+1, t.vaBase|uint64(idx)<<arch.LevelShift(t.level))
+			}
+			structural = structural || was.Kind(t.level) == arch.EKTable || now.Kind(t.level) == arch.EKTable
+			if n := len(runs); n > 0 && runs[n-1].slot == s && runs[n-1].hi == idx {
+				runs[n-1].hi++
+			} else {
+				runs = append(runs, changedRun{slot: s, lo: idx, hi: idx + 1, level: t.level, vaBase: t.vaBase})
+			}
+		}
+		*old = cur
 	}
-	c.abs.Footprint = footprintOf(c.tables)
+	c.runs = runs
 
-	c.stats.PartialWalks++
+	for _, r := range runs {
+		c.sub.maplets = c.sub.maplets[:0]
+		pages += c.interpretRange(m, c.tables[r.slot].descs, r.lo, r.hi, r.level, r.vaBase, &c.sub)
+		shift := arch.LevelShift(r.level)
+		c.abs.Mapping.SpliceRange(r.vaBase|uint64(r.lo)<<shift, uint64(r.hi-r.lo)*arch.LevelPages(r.level),
+			c.sub.maplets)
+	}
+	if structural || outcome == CacheFull {
+		c.abs.Footprint = c.footprint()
+	}
+
 	c.stats.PagesWalked += uint64(pages)
 	if !telemetry.Disabled() {
-		ghostCachePartial.Inc()
 		ghostCachePages.Add(uint64(pages))
 	}
-	return c.abs.Clone(), CachePartial
+	switch {
+	case outcome == CacheFull:
+		c.stats.FullWalks++
+		if !telemetry.Disabled() {
+			ghostCacheMisses.Inc()
+		}
+	case len(runs) == 0:
+		// Generations moved but every descriptor read back the same
+		// (a snapshot restore rewriting a frame with its old contents).
+		return c.hit(), CacheHit
+	default:
+		c.stats.PartialWalks++
+		if !telemetry.Disabled() {
+			ghostCachePartial.Inc()
+		}
+	}
+	return c.abs.Clone(), outcome
 }
 
-// rebuild discards the cache and interprets the whole tree. Caller
-// holds c.mu.
-func (c *PgtableCache) rebuild(m *arch.Memory, root arch.PhysAddr) AbstractPgtable {
-	hint := c.abs.Mapping.NrMaplets()
-	c.tables = make(map[arch.PFN]*cachedTable)
-	c.abs = AbstractPgtable{}
-	c.abs.Mapping.Grow(hint)
-	n := interpretCached(m, root, arch.StartLevel, 0, &c.abs, c.tables)
-	c.abs.Footprint = footprintOf(c.tables)
-	c.root = root
-	c.valid = true
-	c.stats.FullWalks++
-	c.stats.PagesWalked += uint64(n)
+// hit counts and returns the stored abstraction. Caller holds c.mu.
+func (c *PgtableCache) hit() AbstractPgtable {
+	c.stats.Hits++
 	if !telemetry.Disabled() {
-		ghostCacheMisses.Inc()
-		ghostCachePages.Add(uint64(n))
+		ghostCacheHits.Inc()
 	}
 	return c.abs.Clone()
 }
@@ -218,7 +234,7 @@ func (c *PgtableCache) rebuild(m *arch.Memory, root arch.PhysAddr) AbstractPgtab
 func (c *PgtableCache) Invalidate() {
 	c.mu.Lock()
 	c.valid = false
-	c.tables = nil
+	c.tables, c.free, c.slots = nil, nil, nil
 	c.abs = AbstractPgtable{}
 	c.mu.Unlock()
 }
@@ -257,44 +273,88 @@ func (hc *hostCache) abstract(hv *hyp.Hypervisor) (Host, PageSet, error) {
 		full.Footprint, hc.violation
 }
 
-// interpretCached interprets the subtree rooted at the table page at
-// table (occupying the given level and input-address base), extending
-// out and recording each visited table page's generation — observed
-// before its entries are read — into tabs. Returns the number of
-// table pages visited.
-func interpretCached(m *arch.Memory, table arch.PhysAddr, level int, vaPartial uint64,
-	out *AbstractPgtable, tabs map[arch.PFN]*cachedTable) int {
+// slot caches the table page at table at the given position, with its
+// generation observed now — before the caller reads its entries into
+// the slot's descriptors — and returns the slot. Observing first pairs
+// with Memory bumping the generation after each store: a racing writer
+// can at worst make fresh data look stale (forcing a needless re-read
+// later), never stale data look fresh. Caller holds c.mu.
+func (c *PgtableCache) slot(m *arch.Memory, table arch.PhysAddr, level int, vaBase uint64) int {
+	pfn := arch.PhysToPFN(table)
+	// A frame already cached elsewhere can only be reached twice
+	// through a corrupted tree; the later position wins, as in a map.
+	s, ok := c.slots[pfn]
+	if !ok {
+		if n := len(c.free); n > 0 {
+			s, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			s = len(c.tables)
+			c.tables = append(c.tables, cachedTable{descs: new(arch.Frame)})
+		}
+		c.slots[pfn] = s
+	}
 	gen := m.FrameGenRef(table)
-	tabs[arch.PhysToPFN(table)] = &cachedTable{gen: gen, seen: gen.Load(), level: level, vaBase: vaPartial}
-	n := 1
+	t := &c.tables[s]
+	*t = cachedTable{gen: gen, seen: gen.Load(), descs: t.descs, pfn: pfn, level: level, vaBase: vaBase}
+	return s
+}
+
+// interpretRange extends out with the meaning of descriptors [lo, hi)
+// of a table page at the given level and input-address base, reading
+// (and caching) the whole subtree of every next-level table they point
+// to. Returns the number of table pages read. Caller holds c.mu.
+func (c *PgtableCache) interpretRange(m *arch.Memory, descs *arch.Frame, lo, hi, level int, vaBase uint64,
+	out *Mapping) int {
+	n := 0
 	nrPages := arch.LevelPages(level)
 	shift := arch.LevelShift(level)
-	// One bulk frame copy instead of 512 per-slot lookups; the walk
-	// below then reads local memory.
-	frame := m.ReadFrame(table)
-	for idx := 0; idx < arch.PTEsPerTable; idx++ {
-		vaNew := vaPartial | uint64(idx)<<shift
-		pte := frame.PTE(idx)
+	for idx := lo; idx < hi; idx++ {
+		va := vaBase | uint64(idx)<<shift
+		pte := descs.PTE(idx)
 		switch pte.Kind(level) {
 		case arch.EKTable:
-			n += interpretCached(m, pte.TableAddr(), level+1, vaNew, out, tabs)
+			next := c.tables[c.slot(m, pte.TableAddr(), level+1, va)].descs
+			m.ReadFrame(pte.TableAddr(), next)
+			n += 1 + c.interpretRange(m, next, 0, arch.PTEsPerTable, level+1, va, out)
 		case arch.EKBlock, arch.EKPage:
-			out.Mapping.Extend(vaNew, nrPages, Mapped(pte.OutputAddr(level), pte.Attrs()))
+			out.Extend(va, nrPages, Mapped(pte.OutputAddr(level), pte.Attrs()))
 		case arch.EKAnnotated:
-			out.Mapping.Extend(vaNew, nrPages, Annotated(pte.OwnerID()))
+			out.Extend(va, nrPages, Annotated(pte.OwnerID()))
 		case arch.EKInvalid:
 			// Unmapped, unowned: not part of the extension.
 		case arch.EKReserved:
-			out.Mapping.Extend(vaNew, nrPages, Annotated(0xFF))
+			out.Extend(va, nrPages, Annotated(0xFF))
 		}
 	}
 	return n
 }
 
-// footprintOf rebuilds the footprint set from the cached table pages.
-func footprintOf(tabs map[arch.PFN]*cachedTable) PageSet {
-	pfns := make([]arch.PFN, 0, len(tabs))
-	for pfn := range tabs {
+// drop forgets the cached table page at table and everything below
+// it, found through its stored descriptors, provided the cache holds
+// it at the given position. Caller holds c.mu.
+func (c *PgtableCache) drop(table arch.PhysAddr, level int, vaBase uint64) {
+	pfn := arch.PhysToPFN(table)
+	s, ok := c.slots[pfn]
+	if !ok || c.tables[s].level != level || c.tables[s].vaBase != vaBase {
+		return
+	}
+	descs := c.tables[s].descs
+	shift := arch.LevelShift(level)
+	for idx := range descs {
+		if pte := descs.PTE(idx); pte.Kind(level) == arch.EKTable {
+			c.drop(pte.TableAddr(), level+1, vaBase|uint64(idx)<<shift)
+		}
+	}
+	delete(c.slots, pfn)
+	c.tables[s].gen = nil
+	c.free = append(c.free, s)
+}
+
+// footprint builds the footprint set from the cached table pages.
+// Caller holds c.mu.
+func (c *PgtableCache) footprint() PageSet {
+	pfns := make([]arch.PFN, 0, len(c.slots))
+	for pfn := range c.slots {
 		pfns = append(pfns, pfn)
 	}
 	slices.Sort(pfns)

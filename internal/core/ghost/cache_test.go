@@ -16,14 +16,211 @@ import (
 // full interpretation of the same table.
 func mustMatchFull(t *testing.T, c *PgtableCache, tbl *pgtable.Table, when string) {
 	t.Helper()
-	got, _ := c.Interpret(tbl.Mem, tbl.Root())
-	ref := InterpretPgtable(tbl.Mem, tbl.Root())
+	interpretChecked(t, c, tbl.Mem, tbl.Root(), when)
+}
+
+// interpretChecked interprets through the cache, fails unless the
+// result equals a fresh full interpretation, and returns the outcome.
+func interpretChecked(t *testing.T, c *PgtableCache, m *arch.Memory, root arch.PhysAddr, when string) (AbstractPgtable, CacheOutcome) {
+	t.Helper()
+	got, outcome := c.Interpret(m, root)
+	ref := InterpretPgtable(m, root)
 	if !EqualMappings(got.Mapping, ref.Mapping) {
 		t.Fatalf("%s: cached mapping diverges from full recompute:\n%s",
 			when, diffPages(DiffMappings(ref.Mapping, got.Mapping)))
 	}
 	if !got.Footprint.Equal(ref.Footprint) {
 		t.Fatalf("%s: cached footprint %v, full %v", when, got.Footprint, ref.Footprint)
+	}
+	return got, outcome
+}
+
+// handTree is a small stage 2 tree written descriptor by descriptor,
+// so a test controls exactly which words change: root[0] → l1,
+// l1[1] → l2, l2[0] → t0 and l2[1] → t1, the two level-3 tables each
+// holding eight page mappings. spare is an unused frame.
+type handTree struct {
+	m                           *arch.Memory
+	root, l1, l2, t0, t1, spare arch.PhysAddr
+}
+
+var handAttrs = arch.Attrs{Perms: arch.PermRW, Mem: arch.MemNormal, State: arch.StateOwned}
+
+func newHandTree() *handTree {
+	m := arch.NewMemory(arch.DefaultLayout())
+	frame := func(i int) arch.PhysAddr { return (arch.PFN(0x48000) + arch.PFN(i)).Phys() }
+	h := &handTree{m: m, root: frame(0), l1: frame(1), l2: frame(2), t0: frame(3), t1: frame(4), spare: frame(5)}
+	m.WritePTE(h.root, 0, arch.MakeTable(h.l1))
+	m.WritePTE(h.l1, 1, arch.MakeTable(h.l2))
+	m.WritePTE(h.l2, 0, arch.MakeTable(h.t0))
+	m.WritePTE(h.l2, 1, arch.MakeTable(h.t1))
+	for i := 0; i < 8; i++ {
+		m.WritePTE(h.t0, i, arch.MakeLeaf(arch.LastLevel, arch.PhysAddr(0x4100_0000+i*arch.PageSize), handAttrs))
+		m.WritePTE(h.t1, i, arch.MakeLeaf(arch.LastLevel, arch.PhysAddr(0x4200_0000+i*arch.PageSize), handAttrs))
+	}
+	return h
+}
+
+// warm interprets the tree cold and returns the cache's stats after.
+func (h *handTree) warm(t *testing.T, c *PgtableCache) CacheStats {
+	t.Helper()
+	if _, outcome := interpretChecked(t, c, h.m, h.root, "cold"); outcome != CacheFull {
+		t.Fatalf("cold interpret: outcome %v, want full", outcome)
+	}
+	return c.Stats()
+}
+
+// TestCacheLeafRewriteReadsOnePage: rewriting one leaf descriptor
+// re-reads exactly the one table page holding it.
+func TestCacheLeafRewriteReadsOnePage(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	before := h.warm(t, &c)
+
+	h.m.WritePTE(h.t0, 3, arch.MakeLeaf(arch.LastLevel, 0x4300_0000, handAttrs))
+	if _, outcome := interpretChecked(t, &c, h.m, h.root, "leaf rewrite"); outcome != CachePartial {
+		t.Fatalf("leaf rewrite: outcome %v, want partial", outcome)
+	}
+	after := c.Stats()
+	if got := after.PagesWalked - before.PagesWalked; got != 1 {
+		t.Errorf("leaf rewrite re-read %d table pages, want 1", got)
+	}
+	if after.FullWalks != before.FullWalks {
+		t.Errorf("leaf rewrite took a full walk")
+	}
+	if _, outcome := c.Interpret(h.m, h.root); outcome != CacheHit || c.Stats().PagesWalked != after.PagesWalked {
+		t.Errorf("interpretation after the rewrite: outcome %v, stats %+v; want a hit reading no page", outcome, c.Stats())
+	}
+}
+
+// TestCacheRootWrite: writes to the root are descriptor diffs like any
+// other: an annotation in a free slot, detaching the whole tree below
+// root[0], and re-attaching it.
+func TestCacheRootWrite(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	before := h.warm(t, &c)
+
+	h.m.WritePTE(h.root, 5, arch.MakeAnnotation(3))
+	if _, outcome := interpretChecked(t, &c, h.m, h.root, "root annotation"); outcome != CachePartial {
+		t.Fatalf("root annotation: outcome %v, want partial", outcome)
+	}
+	if got := c.Stats().PagesWalked - before.PagesWalked; got != 1 {
+		t.Errorf("root annotation re-read %d table pages, want 1", got)
+	}
+
+	var invalid arch.PTE
+	h.m.WritePTE(h.root, 0, invalid)
+	abs, _ := interpretChecked(t, &c, h.m, h.root, "root detach")
+	if abs.Footprint.Len() != 1 {
+		t.Errorf("after detaching root[0], footprint %v, want the root alone", abs.Footprint)
+	}
+
+	h.m.WritePTE(h.root, 0, arch.MakeTable(h.l1))
+	abs, _ = interpretChecked(t, &c, h.m, h.root, "root re-attach")
+	if abs.Footprint.Len() != 5 {
+		t.Errorf("after re-attaching root[0], footprint %v, want 5 table pages", abs.Footprint)
+	}
+	if st := c.Stats(); st.FullWalks != before.FullWalks {
+		t.Errorf("root writes took %d full walks", st.FullWalks-before.FullWalks)
+	}
+}
+
+// TestCacheBlockSplitCollapse: a 2MB block replaced by a table of
+// pages (one of them changed), then collapsed back into the block.
+func TestCacheBlockSplitCollapse(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	h.warm(t, &c)
+
+	const blockPA = 0x4400_0000
+	block := arch.MakeLeaf(2, blockPA, handAttrs)
+	h.m.WritePTE(h.l2, 2, block)
+	interpretChecked(t, &c, h.m, h.root, "block map")
+
+	for i := 0; i < arch.PTEsPerTable; i++ {
+		h.m.WritePTE(h.spare, i, arch.MakeLeaf(arch.LastLevel, arch.PhysAddr(blockPA+i*arch.PageSize), handAttrs))
+	}
+	h.m.WritePTE(h.spare, 7, arch.MakeAnnotation(2))
+	h.m.WritePTE(h.l2, 2, arch.MakeTable(h.spare))
+	abs, _ := interpretChecked(t, &c, h.m, h.root, "split")
+	if !abs.Footprint.Contains(arch.PhysToPFN(h.spare)) {
+		t.Errorf("split: footprint %v misses the new table", abs.Footprint)
+	}
+
+	h.m.WritePTE(h.l2, 2, block)
+	abs, _ = interpretChecked(t, &c, h.m, h.root, "collapse")
+	if abs.Footprint.Contains(arch.PhysToPFN(h.spare)) {
+		t.Errorf("collapse: footprint %v keeps the freed table", abs.Footprint)
+	}
+}
+
+// TestCacheFrameReuse: table frames freed and reused elsewhere before
+// the next Interpret — t0 at another level-2 slot with new contents,
+// t1 one level up as a level-2 table of blocks.
+func TestCacheFrameReuse(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	h.warm(t, &c)
+
+	var invalid arch.PTE
+	h.m.WritePTE(h.l2, 0, invalid)
+	h.m.ZeroPage(h.t0)
+	h.m.WritePTE(h.t0, 9, arch.MakeLeaf(arch.LastLevel, 0x4500_0000, handAttrs))
+	h.m.WritePTE(h.l2, 5, arch.MakeTable(h.t0))
+	interpretChecked(t, &c, h.m, h.root, "reuse at level 3")
+
+	h.m.WritePTE(h.l2, 1, invalid)
+	h.m.ZeroPage(h.t1)
+	h.m.WritePTE(h.t1, 4, arch.MakeLeaf(2, 0x4600_0000, handAttrs))
+	h.m.WritePTE(h.l1, 2, arch.MakeTable(h.t1))
+	abs, _ := interpretChecked(t, &c, h.m, h.root, "reuse at level 2")
+	if abs.Footprint.Len() != 5 {
+		t.Errorf("footprint %v, want 5 table pages", abs.Footprint)
+	}
+}
+
+// TestCacheDetachRewritten: a level-2 table detached from the tree
+// whose own table descriptor was rewritten too before the next
+// Interpret. Only a top-down diff drops its subtree through the
+// descriptors the cache had interpreted; the new child must not be
+// cached.
+func TestCacheDetachRewritten(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	h.warm(t, &c)
+
+	h.m.WritePTE(h.spare, 0, arch.MakeLeaf(arch.LastLevel, 0x4700_0000, handAttrs))
+	h.m.WritePTE(h.l2, 0, arch.MakeTable(h.spare))
+	var invalid arch.PTE
+	h.m.WritePTE(h.l1, 1, invalid)
+	abs, _ := interpretChecked(t, &c, h.m, h.root, "detach rewritten table")
+	if abs.Footprint.Len() != 2 {
+		t.Errorf("footprint %v, want root and l1 only", abs.Footprint)
+	}
+}
+
+// TestCacheIdenticalRewrite: a generation bump that leaves every
+// descriptor as it was (a restore writing a frame's old contents back)
+// re-reads the page and returns the stored mapping untouched.
+func TestCacheIdenticalRewrite(t *testing.T) {
+	h := newHandTree()
+	var c PgtableCache
+	h.warm(t, &c)
+	prev, _ := c.Interpret(h.m, h.root)
+	before := c.Stats()
+
+	h.m.WritePTE(h.t1, 2, h.m.ReadPTE(h.t1, 2))
+	got, outcome := interpretChecked(t, &c, h.m, h.root, "identical rewrite")
+	if outcome != CacheHit {
+		t.Errorf("identical rewrite: outcome %v, want hit", outcome)
+	}
+	after := c.Stats()
+	if after.PagesWalked-before.PagesWalked != 1 || after.PartialWalks != before.PartialWalks {
+		t.Errorf("identical rewrite: stats %+v -> %+v, want one page re-read and no partial walk", before, after)
+	}
+	if &got.Mapping.Maplets()[0] != &prev.Mapping.Maplets()[0] {
+		t.Error("identical rewrite rebuilt the cached mapping")
 	}
 }
 

@@ -211,118 +211,76 @@ func (m *Mapping) Extend(va uint64, nrPages uint64, t Target) {
 // Set overwrites [va, va+nrPages*4K) with the target, replacing
 // whatever was there — the specification functions' mapping_update.
 func (m *Mapping) Set(va uint64, nrPages uint64, t Target) {
-	m.Remove(va, nrPages)
-	m.insert(Maplet{VA: va, NrPages: nrPages, Target: t})
+	m.SpliceRange(va, nrPages, []Maplet{{VA: va, NrPages: nrPages, Target: t}})
 }
 
 // Remove erases [va, va+nrPages*4K) from the mapping, splitting
 // maplets as needed.
 func (m *Mapping) Remove(va uint64, nrPages uint64) {
-	if nrPages == 0 {
-		return
-	}
-	start, end := va, va+nrPages<<arch.PageShift
-	out := make([]Maplet, 0, len(m.maplets))
-	for _, ml := range m.maplets {
-		if ml.end() <= start || ml.VA >= end {
-			out = append(out, ml)
-			continue
-		}
-		// Left remainder.
-		if ml.VA < start {
-			out = append(out, Maplet{
-				VA:      ml.VA,
-				NrPages: (start - ml.VA) >> arch.PageShift,
-				Target:  ml.Target,
-			})
-		}
-		// Right remainder.
-		if ml.end() > end {
-			skip := (end - ml.VA) >> arch.PageShift
-			out = append(out, Maplet{
-				VA:      end,
-				NrPages: ml.NrPages - skip,
-				Target:  ml.Target.at(skip),
-			})
-		}
-	}
-	m.maplets = out
-	m.cow = false // out is freshly built, never shared
-}
-
-// insert adds a maplet that must not overlap anything present, then
-// re-establishes coalescing around it.
-func (m *Mapping) insert(nm Maplet) {
-	m.own()
-	i := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].VA >= nm.VA })
-	m.maplets = append(m.maplets, Maplet{})
-	copy(m.maplets[i+1:], m.maplets[i:])
-	m.maplets[i] = nm
-	m.coalesceAround(i)
-}
-
-func (m *Mapping) coalesceAround(i int) {
-	// Merge with the previous maplet.
-	if i > 0 {
-		prev, cur := m.maplets[i-1], m.maplets[i]
-		if prev.end() == cur.VA && prev.Target.continues(prev.NrPages, cur.Target) {
-			m.maplets[i-1].NrPages += cur.NrPages
-			m.maplets = append(m.maplets[:i], m.maplets[i+1:]...)
-			i--
-		}
-	}
-	// Merge with the next.
-	if i+1 < len(m.maplets) {
-		cur, next := m.maplets[i], m.maplets[i+1]
-		if cur.end() == next.VA && cur.Target.continues(cur.NrPages, next.Target) {
-			m.maplets[i].NrPages += next.NrPages
-			m.maplets = append(m.maplets[:i+1], m.maplets[i+2:]...)
-		}
-	}
+	m.SpliceRange(va, nrPages, nil)
 }
 
 // SpliceRange replaces [va, va+nrPages*4K) wholesale with repl, whose
-// maplets must be canonical (ascending, coalesced) and lie entirely
-// within the range. It is the incremental abstraction's subtree graft:
-// the re-interpreted meaning of one table subtree replaces the cached
-// meaning of that subtree's input range, with coalescing re-established
-// at the two boundary joints so the result is bit-for-bit the mapping a
-// full re-interpretation would have built.
+// maplets must be ascending and lie entirely within the range. It is
+// mapping_update for the specification and the incremental
+// abstraction's graft: the re-interpreted meaning of some descriptors
+// replaces the cached meaning of their input range. One pass builds
+// the result into one allocation, cutting the maplets that straddle
+// the range ends and coalescing at every joint, so the result is
+// bit-for-bit the mapping a full re-interpretation would have built.
 func (m *Mapping) SpliceRange(va uint64, nrPages uint64, repl []Maplet) {
+	if nrPages == 0 {
+		return
+	}
 	end := va + nrPages<<arch.PageShift
 	for i, ml := range repl {
 		if ml.VA < va || ml.end() > end || (i > 0 && repl[i-1].end() > ml.VA) {
 			panic(fmt.Sprintf("ghost: splice replacement %v outside [%#x,%#x) or out of order", ml, va, end))
 		}
 	}
-	m.Remove(va, nrPages) // leaves m uniquely owned
-	if len(repl) == 0 {
+	old := m.maplets
+	// old[lo:hi] are the maplets overlapping the range.
+	lo := sort.Search(len(old), func(i int) bool { return old[i].end() > va })
+	hi := lo
+	for hi < len(old) && old[hi].VA < end {
+		hi++
+	}
+	if lo == hi && len(repl) == 0 {
 		return
 	}
-	i := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].VA >= va })
-	grown := make([]Maplet, 0, len(m.maplets)+len(repl))
-	grown = append(grown, m.maplets[:i]...)
-	grown = append(grown, repl...)
-	grown = append(grown, m.maplets[i:]...)
-	m.maplets = grown
-	// Right joint first: merging it does not disturb indices at or
-	// below the left joint. Interior joints of repl are already
-	// coalesced by construction.
-	m.mergeAt(i + len(repl) - 1)
-	m.mergeAt(i - 1)
+	// The two cut remainders add at most two; coalescing only removes.
+	out := make([]Maplet, lo, len(old)-(hi-lo)+len(repl)+2)
+	copy(out, old[:lo])
+	if lo < hi && old[lo].VA < va {
+		out = appendCoalesced(out, Maplet{VA: old[lo].VA, NrPages: (va - old[lo].VA) >> arch.PageShift,
+			Target: old[lo].Target})
+	}
+	for _, ml := range repl {
+		out = appendCoalesced(out, ml)
+	}
+	if lo < hi && old[hi-1].end() > end {
+		ml := old[hi-1]
+		skip := (end - ml.VA) >> arch.PageShift
+		out = appendCoalesced(out, Maplet{VA: end, NrPages: ml.NrPages - skip, Target: ml.Target.at(skip)})
+	}
+	if hi < len(old) {
+		out = appendCoalesced(out, old[hi])
+		out = append(out, old[hi+1:]...)
+	}
+	m.maplets = out
+	m.cow = false // out is freshly built, never shared
 }
 
-// mergeAt coalesces maplets[k] with maplets[k+1] when both exist and
-// continue each other.
-func (m *Mapping) mergeAt(k int) {
-	if k < 0 || k+1 >= len(m.maplets) {
-		return
+// appendCoalesced appends ml to the ascending list out, merging it into
+// the last maplet when it continues it.
+func appendCoalesced(out []Maplet, ml Maplet) []Maplet {
+	if n := len(out); n > 0 {
+		if last := &out[n-1]; last.end() == ml.VA && last.Target.continues(last.NrPages, ml.Target) {
+			last.NrPages += ml.NrPages
+			return out
+		}
 	}
-	cur, next := m.maplets[k], m.maplets[k+1]
-	if cur.end() == next.VA && cur.Target.continues(cur.NrPages, next.Target) {
-		m.maplets[k].NrPages += next.NrPages
-		m.maplets = append(m.maplets[:k+1], m.maplets[k+2:]...)
-	}
+	return append(out, ml)
 }
 
 // EqualMappings reports extensional equality. Because both sides are

@@ -158,9 +158,25 @@ func TestDiffMappings(t *testing.T) {
 	}
 }
 
-// Property: an arbitrary interleaving of Set/Remove leaves the Mapping
-// extensionally equal to a reference map, and always canonical
-// (sorted, coalesced, non-overlapping).
+// TestSpliceRangeAllocatesOnce: mapping_update cutting one maplet in
+// three, on a mapping shared copy-on-write with its original, builds
+// the result in a single allocation.
+func TestSpliceRangeAllocatesOnce(t *testing.T) {
+	var base Mapping
+	base.Extend(page(0), 8, Mapped(arch.PhysAddr(page(100)), rwxN))
+	base.Extend(page(20), 4, Annotated(1))
+	allocs := testing.AllocsPerRun(100, func() {
+		m := base.Clone()
+		m.Set(page(3), 1, Annotated(2))
+	})
+	if allocs != 1 {
+		t.Errorf("Set allocated %v times, want 1", allocs)
+	}
+}
+
+// Property: an arbitrary interleaving of Set/Remove/SpliceRange leaves
+// the Mapping extensionally equal to a reference map, and always
+// canonical (sorted, coalesced, non-overlapping).
 func TestMappingAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var m Mapping
@@ -176,12 +192,37 @@ func TestMappingAgainstReferenceModel(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		va := page(uint64(rng.Intn(span)))
 		nr := uint64(rng.Intn(4) + 1)
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			m.Remove(va, nr)
 			for i := uint64(0); i < nr; i++ {
 				delete(ref, va+page(i))
 			}
-		} else {
+		case 1:
+			// Splice a few ascending, possibly adjacent and mergeable
+			// maplets over a wider range.
+			nr += 4
+			var repl []Maplet
+			for p := uint64(0); p < nr; {
+				n := uint64(rng.Intn(3) + 1)
+				if p+n > nr {
+					n = nr - p
+				}
+				if rng.Intn(3) > 0 {
+					repl = append(repl, Maplet{VA: va + page(p), NrPages: n, Target: targets[rng.Intn(len(targets))]})
+				}
+				p += n
+			}
+			m.SpliceRange(va, nr, repl)
+			for i := uint64(0); i < nr; i++ {
+				delete(ref, va+page(i))
+			}
+			for _, ml := range repl {
+				for i := uint64(0); i < ml.NrPages; i++ {
+					ref[ml.VA+page(i)] = ml.Target.at(i)
+				}
+			}
+		default:
 			tgt := targets[rng.Intn(len(targets))]
 			m.Set(va, nr, tgt)
 			for i := uint64(0); i < nr; i++ {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ghostspec/internal/arch"
@@ -98,10 +97,6 @@ type Stats struct {
 	// MapletsLive is the number of maplets in the shared ghost copy —
 	// the dominant term of the ghost memory impact (§6 performance).
 	MapletsLive int
-	// HookTime is the cumulative wall time spent inside the ghost
-	// hooks across all CPUs — the instrumentation's share of the §6
-	// overhead.
-	HookTime time.Duration
 	// Cache aggregates the abstraction caches' outcomes across all
 	// components (hyp stage 1, host stage 2, every guest stage 2).
 	Cache CacheStats
@@ -160,10 +155,6 @@ type Recorder struct {
 	VerifyCache bool
 
 	cpus []*cpuRec
-
-	// hookNanos accumulates time spent in hooks (atomic: hooks run on
-	// all CPUs concurrently).
-	hookNanos atomic.Int64
 
 	// OnFailure, when set, is called (under mu) for each alarm;
 	// used by the harness for live diff printing.
@@ -295,16 +286,6 @@ func (r *Recorder) verifyCached(name string, got AbstractPgtable, root arch.Phys
 	}
 }
 
-// timeHook accumulates the time since start into the hook-time
-// counter; used as `defer r.timeHook(time.Now())`.
-func (r *Recorder) timeHook(start time.Time) {
-	d := time.Since(start)
-	r.hookNanos.Add(int64(d))
-	if !telemetry.Disabled() {
-		ghostHookTime.ObserveDuration(d)
-	}
-}
-
 // fail records an alarm; callers may hold mu or not (it re-locks).
 func (r *Recorder) fail(f Failure) {
 	if !telemetry.Disabled() {
@@ -355,7 +336,6 @@ func (r *Recorder) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.stats
-	s.HookTime = time.Duration(r.hookNanos.Load())
 	s.Cache = cs
 	s.MapletsLive = r.shared.Pkvm.PGT.Mapping.NrMaplets() +
 		r.shared.Host.Annot.NrMaplets() + r.shared.Host.Shared.NrMaplets()
@@ -371,7 +351,6 @@ func (r *Recorder) Stats() Stats {
 // TrapEntry is point (1): begin recording the pre-state with the
 // thread-local data.
 func (r *Recorder) TrapEntry(cpu int, reason arch.ExitReason) {
-	defer r.timeHook(time.Now())
 	rec := r.cpus[cpu]
 	rec.active = true
 	rec.pre = NewState()
@@ -393,7 +372,6 @@ func (r *Recorder) TrapEntry(cpu int, reason arch.ExitReason) {
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) LockAcquired(cpu int, c hyp.Component) {
-	defer r.timeHook(time.Now())
 	rec := r.cpus[cpu]
 	if !rec.active {
 		return
@@ -403,12 +381,11 @@ func (r *Recorder) LockAcquired(cpu int, c hyp.Component) {
 }
 
 // LockReleasing is points (4)-(5): record the component's abstraction
-// into the post-state, close the lock session, and refresh the shared
-// copy.
+// into the post-state, close the lock session, refresh the shared
+// copy, and run the separation and TLB-coherence checks.
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
-	defer r.timeHook(time.Now())
 	rec := r.cpus[cpu]
 	if !rec.active {
 		return
@@ -417,6 +394,7 @@ func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
 	if ses := rec.sessions[c]; len(ses) > 0 && ses[len(ses)-1].Post == nil {
 		ses[len(ses)-1].Post = snap
 	}
+	r.checkSeparation()
 	r.checkTLB(cpu, c)
 }
 
@@ -430,6 +408,8 @@ func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
+	sp := r.tracer.Begin(r.lane, spanGhostTLB)
+	defer sp.End()
 	tlb := r.hv.TLB()
 	if tlb == nil {
 		return
@@ -460,6 +440,8 @@ func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline bool) *State {
+	sp := r.tracer.Begin(r.lane, spanGhostRecord[c.Kind])
+	defer sp.End()
 	snap := NewState()
 	switch c.Kind {
 	case hyp.CompHost:
@@ -555,10 +537,6 @@ func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline b
 		r.mu.Unlock()
 		into.Guests[c.Handle] = &g
 	}
-
-	if !checkBaseline {
-		r.checkSeparation()
-	}
 	return snap
 }
 
@@ -566,26 +544,38 @@ func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline b
 // page-table footprints, and that the host/hyp tables stay within the
 // boot carve-out (§4.4 check 2). Footprints are sorted run lists, so
 // each pairwise check is one linear merge, not a nested set iteration.
+// It runs at every lock release, so footprints are named only once a
+// violation needs reporting.
 //
 // Every violated pair is reported in one alarm: an earlier version kept
 // only the last formatted detail, silently overwriting earlier pairs,
 // which hid concurrent overlaps when three or more tables collided.
 func (r *Recorder) checkSeparation() {
+	sp := r.tracer.Begin(r.lane, spanGhostSeparation)
+	defer sp.End()
 	r.mu.Lock()
+	// owner names the pkvm and host tables; guests are named by handle.
 	type fp struct {
-		name string
-		set  PageSet
+		owner string
+		guest hyp.Handle
+		set   PageSet
 	}
-	var fps []fp
+	name := func(f fp) string {
+		if f.owner != "" {
+			return f.owner
+		}
+		return f.guest.String()
+	}
+	fps := make([]fp, 0, 2+len(r.shared.Guests))
 	if r.shared.Pkvm.Present {
-		fps = append(fps, fp{"pkvm", r.shared.Pkvm.PGT.Footprint})
+		fps = append(fps, fp{owner: "pkvm", set: r.shared.Pkvm.PGT.Footprint})
 	}
 	if r.shared.Host.Present {
-		fps = append(fps, fp{"host", r.hostFootprint})
+		fps = append(fps, fp{owner: "host", set: r.hostFootprint})
 	}
 	for h, g := range r.shared.Guests {
 		if g.Present {
-			fps = append(fps, fp{h.String(), g.PGT.Footprint})
+			fps = append(fps, fp{guest: h, set: g.PGT.Footprint})
 		}
 	}
 	g := r.shared.Globals
@@ -598,13 +588,13 @@ func (r *Recorder) checkSeparation() {
 		for j := i + 1; j < len(fps); j++ {
 			if pfn, ok := fps[i].set.FirstOverlap(fps[j].set); ok {
 				details = append(details, fmt.Sprintf("footprints of %s and %s overlap at frame %#x",
-					fps[i].name, fps[j].name, uint64(pfn)))
+					name(fps[i]), name(fps[j]), uint64(pfn)))
 			}
 		}
-		if fps[i].name == "pkvm" || fps[i].name == "host" {
+		if fps[i].owner != "" {
 			if pfn, ok := fps[i].set.FirstOutside(carveStart, carveEnd); ok {
 				details = append(details, fmt.Sprintf("%s table frame %#x outside the carve-out",
-					fps[i].name, uint64(pfn)))
+					fps[i].owner, uint64(pfn)))
 			}
 		}
 	}
@@ -663,7 +653,6 @@ func (r *Recorder) HypPanic(cpu int, msg string) {
 // the return value, compute the expected post-state from the
 // specification, and compare.
 func (r *Recorder) TrapExit(cpu int) {
-	defer r.timeHook(time.Now())
 	rec := r.cpus[cpu]
 	if !rec.active {
 		return

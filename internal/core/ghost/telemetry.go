@@ -1,16 +1,28 @@
 package ghost
 
 import (
+	"ghostspec/internal/hyp"
 	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
 
-// Span names for the oracle's own cost: the trap-exit check (the §6
-// overhead headline) and the differential cache verification, which
-// dominates when VerifyCache is on.
+// Span names for the oracle's own cost, all nested in the trap span:
+// the trap-exit check (the §6 overhead headline); at every lock
+// acquire and release, the component's recording (abstraction and
+// non-interference compare); at every release, the separation and
+// TLB-coherence checks; and the differential cache verification,
+// which dominates when VerifyCache is on.
 var (
 	spanGhostCheck  = trace.NewName("ghost.check")
 	spanGhostVerify = trace.NewName("ghost.verify")
+	spanGhostRecord = [...]trace.Name{
+		hyp.CompHost:    trace.NewName("ghost.record:host"),
+		hyp.CompHyp:     trace.NewName("ghost.record:pkvm"),
+		hyp.CompVMTable: trace.NewName("ghost.record:vms"),
+		hyp.CompGuest:   trace.NewName("ghost.record:guest"),
+	}
+	spanGhostSeparation = trace.NewName("ghost.separation")
+	spanGhostTLB        = trace.NewName("ghost.tlb-coherence")
 )
 
 // The oracle's own telemetry: how often it checks, how often it fires,
@@ -19,11 +31,10 @@ var (
 	ghostChecks       = telemetry.NewCounter("ghost_checks_total")
 	ghostChecksPassed = telemetry.NewCounter("ghost_checks_passed_total")
 	ghostCheckLat     = telemetry.NewHistogram("ghost_check_latency_ns")
-	ghostHookTime     = telemetry.NewHistogram("ghost_hook_time_ns")
 
 	// Abstraction-cache traffic: hits returned the stored abstraction
 	// untouched, misses re-walked the whole tree (cold cache or root
-	// change/write), partial walks re-interpreted only dirty subtrees.
+	// change), partial walks re-interpreted only changed descriptors.
 	// The pages counter totals table pages actually re-read — the
 	// denominator for how much work the cache avoided.
 	ghostCacheHits    = telemetry.NewCounter("ghost_cache_hits_total")

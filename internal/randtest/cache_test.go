@@ -72,3 +72,57 @@ func TestConcurrentCampaignVerifyCache(t *testing.T) {
 		t.Error("unlocked corruption raised no non-interference alarm")
 	}
 }
+
+// TestVerifyCacheAcrossRestores replays several generated traces on
+// one system, each from its restored boot base, with the differential
+// self-check on. Every restore rewrites the frames the previous trace
+// dirtied and bumps their generations; the abstraction caches absorb
+// that through their descriptor diffs and must agree with the full
+// recompute at every hook. Run with -race.
+func TestVerifyCacheAcrossRestores(t *testing.T) {
+	var traces []*Trace
+	for seed := int64(1); seed <= 5; seed++ {
+		hv, err := hyp.New(hyp.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := New(proxy.New(hv), nil, seed, true)
+		gen.Trace = &Trace{}
+		gen.Run(150)
+		traces = append(traces, gen.Trace)
+	}
+
+	hv, err := hyp.New(hyp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ghost.Attach(hv)
+	rec.VerifyCache = true
+	d := proxy.New(hv)
+	base, _ := hv.CaptureBase(nil)
+	hostBoot := d.HostPool.Snapshot()
+	ghostBoot := rec.Checkpoint()
+
+	dirty := 0
+	for round := 0; round < 2; round++ {
+		for i, tr := range traces {
+			dirty += base.RestoreBase()
+			d.HostPool.Restore(hostBoot)
+			rec.RestoreCheckpoint(ghostBoot)
+			Replay(d, tr)
+			for _, f := range rec.Failures() {
+				t.Fatalf("round %d trace %d: alarm with VerifyCache on: %v", round, i, f)
+			}
+		}
+	}
+	if dirty == 0 {
+		t.Error("restores rewrote no frames")
+	}
+	st := rec.Stats()
+	if st.Checks == 0 || st.Passed != st.Checks {
+		t.Errorf("checks %d, passed %d", st.Checks, st.Passed)
+	}
+	if st.Cache.PartialWalks == 0 {
+		t.Errorf("no partial walks across restores: %+v", st.Cache)
+	}
+}
