@@ -103,10 +103,10 @@ type campaignBenchReport struct {
 	SpeedupSkippedReason string  `json:"speedup_skipped_reason,omitempty"`
 	SnapshotSpeedup      float64 `json:"snapshot_speedup"`
 	SpeedupFloor         float64 `json:"snapshot_speedup_floor"`
-	// Fleet is the distributed-campaign leg: coordinator + N workers
-	// over loopback HTTP, gated on coordination overhead.
-	Fleet *fleetBench `json:"fleet,omitempty"`
-	Pass  bool        `json:"pass"`
+	// Sync is the multi-process leg: two workers sharing a sync
+	// directory, gated on coordination overhead.
+	Sync *syncBench `json:"sync,omitempty"`
+	Pass bool       `json:"pass"`
 }
 
 func runCampaignBench(path string, execs int64) error {
@@ -203,12 +203,12 @@ func runCampaignBench(path string, execs int64) error {
 	fmt.Printf("  snapshot speedup (serial on/off): %.2fx (floor %.2fx)\n",
 		report.SnapshotSpeedup, snapshotSpeedupFloor)
 
-	fleetRep, err := runFleetBench(execs)
+	syncRep, err := runSyncBench(execs)
 	if err != nil {
 		return err
 	}
-	report.Fleet = fleetRep
-	report.Pass = report.Pass && fleetRep.Pass
+	report.Sync = syncRep
+	report.Pass = report.Pass && syncRep.Pass
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -224,7 +224,7 @@ func runCampaignBench(path string, execs int64) error {
 			report.SnapshotSpeedup, snapshotSpeedupFloor)
 	}
 	if !report.Pass {
-		return fmt.Errorf("fleet leg failed its gates (see %s)", path)
+		return fmt.Errorf("sync leg failed its gates (see %s)", path)
 	}
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 	"ghostspec/internal/telemetry/trace"
 )
 
-// newIntrospectionMux builds the live-introspection handler set served
-// by -http:
+// serveIntrospection starts the -http listener in the background,
+// serving the live-introspection handler set:
 //
 //	/metrics       Prometheus text exposition of the telemetry registry
 //	/debug/pprof/  the standard Go profiling endpoints
@@ -22,7 +22,11 @@ import (
 //
 // The engine getter is called per request: the campaign may not have
 // started yet (boot check) or may already be done when a poll arrives.
-func newIntrospectionMux(eng func() *campaign.Engine, tr *trace.Tracer) *http.ServeMux {
+//
+// The campaign outlives no one: the process exits when the run
+// completes, taking the listener with it, so there is no
+// graceful-shutdown dance.
+func serveIntrospection(addr string, eng func() *campaign.Engine, tr *trace.Tracer) {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -64,14 +68,7 @@ func newIntrospectionMux(eng func() *campaign.Engine, tr *trace.Tracer) *http.Se
 		enc.Encode(e.Status())
 	})
 
-	return mux
-}
-
-// serveIntrospection starts the -http listener in the background. The
-// campaign outlives no one: the process exits when the run completes,
-// taking the listener with it, so there is no graceful-shutdown dance.
-func serveIntrospection(addr string, eng func() *campaign.Engine, tr *trace.Tracer) {
-	srv := &http.Server{Addr: addr, Handler: newIntrospectionMux(eng, tr)}
+	srv := &http.Server{Addr: addr, Handler: mux}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fmt.Printf("ghost-fuzz: -http %s: %v\n", addr, err)

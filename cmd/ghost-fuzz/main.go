@@ -7,8 +7,7 @@
 //	ghost-fuzz -bug unshare-leave-mapping    # fuzz a buggy build, get a minimized repro
 //	ghost-fuzz -matrix                       # full faults.All() detection matrix
 //	ghost-fuzz -workers 1 -seed 7 -execs 50  # deterministic single-shard run
-//	ghost-fuzz -serve :7070                  # fleet coordinator (see fleet.go)
-//	ghost-fuzz -worker http://host:7070      # fleet worker
+//	ghost-fuzz -sync-dir out -seed 2         # one worker of a multi-process campaign
 //
 // Exit status is non-zero when a fuzz run produces findings or a
 // matrix run leaves a non-skip-listed bug undetected — on a fixed
@@ -29,6 +28,7 @@ import (
 	"ghostspec/internal/coverage"
 	"ghostspec/internal/faults"
 	"ghostspec/internal/spinlock"
+	"ghostspec/internal/syncdir"
 	"ghostspec/internal/telemetry/trace"
 )
 
@@ -53,11 +53,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-finding progress lines")
 	httpAddr := flag.String("http", "", "serve live introspection on this address (/metrics, /debug/pprof/, /spans, /campaign)")
 	traceOut := flag.String("trace-out", "", "write the campaign's span dump as Chrome trace-event JSON to this file")
-	serveAddr := flag.String("serve", "", "fleet coordinator mode: serve the fleet API on this address")
-	workerAddr := flag.String("worker", "", "fleet worker mode: join the coordinator at this base URL")
-	shards := flag.Int("shards", 0, "fleet: seed-stream shard count (default 4)")
-	roundExecs := flag.Int64("round-execs", 0, "fleet: executions per shard round (default 512)")
-	lease := flag.Duration("lease", 0, "fleet: worker heartbeat lease before shard reassignment (default 10s)")
+	syncDir := flag.String("sync-dir", "", "share corpus, findings and coverage with every worker using this directory; -seed names this worker's stream (restart with the same -seed to resume it)")
 	flag.Parse()
 
 	if *rankCheck {
@@ -96,17 +92,6 @@ func main() {
 		}
 	}
 
-	if *serveAddr != "" && *workerAddr != "" {
-		fmt.Fprintln(os.Stderr, "-serve and -worker are mutually exclusive")
-		os.Exit(2)
-	}
-	if *serveAddr != "" {
-		os.Exit(runServe(*serveAddr, cfg, *shards, *roundExecs, *lease, cfg.Duration))
-	}
-	if *workerAddr != "" {
-		os.Exit(runWorker(*workerAddr, cfg, *httpAddr, *traceOut))
-	}
-
 	if *matrix {
 		if cfg.Duration <= 0 && cfg.MaxExecs <= 0 {
 			cfg.MaxExecs = 400 // per-bug detection budget
@@ -117,7 +102,7 @@ func main() {
 	if cfg.Duration <= 0 && cfg.MaxExecs <= 0 && cfg.MaxFindings <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	os.Exit(runFuzz(cfg, *httpAddr, *traceOut))
+	os.Exit(runFuzz(cfg, *httpAddr, *traceOut, *syncDir))
 }
 
 func parseBugs(s string) ([]faults.Bug, error) {
@@ -139,7 +124,21 @@ func parseBugs(s string) ([]faults.Bug, error) {
 	return bugs, nil
 }
 
-func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
+func runFuzz(cfg campaign.Config, httpAddr, traceOut, syncDir string) int {
+	var sw *syncdir.Worker
+	if syncDir != "" {
+		stream := cfg.Seed
+		var err error
+		sw, err = syncdir.Join(syncDir, &cfg, func(f campaign.Finding) string {
+			return formatFinding(f, cfg)
+		}, func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sync-dir:", err)
+			return 2
+		}
+		fmt.Printf("ghost-fuzz: sync worker %s/seed-%d, session %d\n",
+			syncDir, stream, sw.State().Sessions-1)
+	}
 	mode := "guided"
 	if cfg.Unguided {
 		mode = "unguided"
@@ -151,11 +150,10 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 	// the spans (the /spans endpoint or a trace dump).
 	var tr *trace.Tracer
 	if httpAddr != "" || traceOut != "" {
-		lanes := cfg.Workers
-		if lanes <= 0 {
-			lanes = runtime.GOMAXPROCS(0)
+		if cfg.Workers <= 0 {
+			cfg.Workers = runtime.GOMAXPROCS(0) // the engine's default; one lane each
 		}
-		tr = trace.NewTracer(lanes, 1<<14)
+		tr = trace.NewTracer(cfg.Workers, 1<<14)
 		trace.SetEnabled(true)
 		cfg.Tracer = tr
 	}
@@ -172,7 +170,15 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 		return 2
 	}
 	engPtr.Store(eng)
+	if sw != nil {
+		sw.Attach(eng, time.Second)
+	}
 	rep, err := eng.Wait()
+	if sw != nil {
+		if cerr := sw.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		return 2
@@ -187,58 +193,71 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 	}
 
 	fmt.Printf("\n%d execs in %v = %.1f execs/s across %d workers\n",
-		rep.Execs, rep.Elapsed.Round(time.Millisecond), rep.ExecsPerSec, max(cfg.Workers, 1))
+		rep.Execs, rep.Elapsed.Round(time.Millisecond), rep.ExecsPerSec, len(eng.Status().Workers))
 	fmt.Printf("coverage: impl %d/%d (%.1f%%), spec %d/%d (%.1f%%); %d novel runs, corpus %d\n",
 		rep.Coverage.ImplCovered, rep.Coverage.ImplTotal,
 		coverage.Percent(rep.Coverage.ImplCovered, rep.Coverage.ImplTotal),
 		rep.Coverage.SpecCovered, rep.Coverage.SpecTotal,
 		coverage.Percent(rep.Coverage.SpecCovered, rep.Coverage.SpecTotal),
 		rep.NovelRuns, rep.CorpusSize)
+	if sw != nil {
+		st := sw.State()
+		fmt.Printf("sync: %d corpus files written, %d imported; %d findings reported, %d already in %s/findings\n",
+			st.CorpusWritten, st.CorpusImported, st.FindingsReported, st.FindingsDuplicate, syncDir)
+	}
 
 	if len(rep.Findings) == 0 {
 		fmt.Println("no findings")
 		return 0
 	}
 	for i, f := range rep.Findings {
-		fmt.Printf("\n=== finding %d (worker %d, exec %d) ===\n", i+1, f.Worker, f.Exec)
-		for j, alarm := range f.Failures {
-			if j == 3 {
-				fmt.Printf("  … %d more alarms\n", len(f.Failures)-j)
-				break
-			}
-			fmt.Printf("  ALARM %v\n", alarm)
-		}
-		if !f.Reproducible {
-			fmt.Printf("  NOT reproducible on replay (%d-op trace kept unminimized)\n", f.Trace.Len())
-			continue
-		}
-		fmt.Printf("  minimized %d ops -> %d ops (%d replays):\n%s",
-			f.Trace.Len(), f.Min.Len(), f.ShrinkReplays, indent(f.Min.String()))
-		if f.Sched != nil {
-			if f.SchedErr != "" {
-				fmt.Printf("  scheduler error: %s\n", f.SchedErr)
-			}
-			fmt.Printf("  schedule (sched-seed %d, %d -> %d steps): %s\n",
-				f.SchedSeed, f.Sched.Len(), f.MinSched.Len(), f.MinSched)
-		}
-		if len(f.Failures) > 0 && len(f.Failures[0].History) > 0 {
-			fmt.Printf("  flight recorder (%d trap events on failing CPU; newest is the failure)\n",
-				len(f.Failures[0].History))
-		}
-		switch {
-		case f.FromCorpus && f.Sched != nil:
-			fmt.Printf("  repro: replay the minimized (trace, schedule) pair on a %d-vCPU boot\n", cfg.NrCPUs)
-		case f.FromCorpus:
-			fmt.Printf("  repro: replay the minimized trace (run extended a corpus seed)\n")
-		case f.Sched != nil:
-			fmt.Printf("  repro: ghost-fuzz -workers 1 -seed %d -steps %d -cpus %d -sched-fuzz%s (schedule re-derived from the seed)\n",
-				f.Seed, cfg.StepsPerRun, cfg.NrCPUs, bugArgs(cfg.Bugs))
-		default:
-			fmt.Printf("  repro: ghost-fuzz -workers 1 -seed %d -steps %d%s\n",
-				f.Seed, cfg.StepsPerRun, bugArgs(cfg.Bugs))
-		}
+		fmt.Printf("\n=== finding %d (worker %d, exec %d) ===\n%s", i+1, f.Worker, f.Exec, formatFinding(f, cfg))
 	}
 	return 1
+}
+
+// formatFinding renders a finding's alarms, minimized trace and repro
+// recipe — the block printed per finding and stored beside it in a
+// sync directory.
+func formatFinding(f campaign.Finding, cfg campaign.Config) string {
+	var b strings.Builder
+	for j, alarm := range f.Failures {
+		if j == 3 {
+			fmt.Fprintf(&b, "  … %d more alarms\n", len(f.Failures)-j)
+			break
+		}
+		fmt.Fprintf(&b, "  ALARM %v\n", alarm)
+	}
+	if !f.Reproducible {
+		fmt.Fprintf(&b, "  NOT reproducible on replay (%d-op trace kept unminimized)\n", f.Trace.Len())
+		return b.String()
+	}
+	fmt.Fprintf(&b, "  minimized %d ops -> %d ops (%d replays):\n%s",
+		f.Trace.Len(), f.Min.Len(), f.ShrinkReplays, indent(f.Min.String()))
+	if f.Sched != nil {
+		if f.SchedErr != "" {
+			fmt.Fprintf(&b, "  scheduler error: %s\n", f.SchedErr)
+		}
+		fmt.Fprintf(&b, "  schedule (sched-seed %d, %d -> %d steps): %s\n",
+			f.SchedSeed, f.Sched.Len(), f.MinSched.Len(), f.MinSched)
+	}
+	if len(f.Failures) > 0 && len(f.Failures[0].History) > 0 {
+		fmt.Fprintf(&b, "  flight recorder (%d trap events on failing CPU; newest is the failure)\n",
+			len(f.Failures[0].History))
+	}
+	switch {
+	case f.FromCorpus && f.Sched != nil:
+		fmt.Fprintf(&b, "  repro: replay the minimized (trace, schedule) pair on a %d-vCPU boot\n", cfg.NrCPUs)
+	case f.FromCorpus:
+		fmt.Fprintf(&b, "  repro: replay the minimized trace (run extended a corpus seed)\n")
+	case f.Sched != nil:
+		fmt.Fprintf(&b, "  repro: ghost-fuzz -workers 1 -seed %d -steps %d -cpus %d -sched-fuzz%s (schedule re-derived from the seed)\n",
+			f.Seed, cfg.StepsPerRun, cfg.NrCPUs, bugArgs(cfg.Bugs))
+	default:
+		fmt.Fprintf(&b, "  repro: ghost-fuzz -workers 1 -seed %d -steps %d%s\n",
+			f.Seed, cfg.StepsPerRun, bugArgs(cfg.Bugs))
+	}
+	return b.String()
 }
 
 // writeChromeTrace dumps the tracer's spans as Chrome trace-event

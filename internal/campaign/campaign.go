@@ -112,14 +112,15 @@ type Config struct {
 	// Logf, when set, receives progress lines (findings, stop cause).
 	Logf func(format string, args ...any)
 	// OnFinding, when set, is called once per recorded finding, after
-	// minimization, from the finding worker's goroutine. The fleet
-	// worker uses it to stream findings to the coordinator; keep it
-	// cheap (enqueue, don't block) — it runs on the exec path.
+	// minimization, from the finding worker's goroutine. A sync
+	// directory worker (internal/syncdir) uses it to create the
+	// finding's file; keep it cheap (no blocking on peers) — it runs
+	// on the exec path.
 	OnFinding func(Finding)
 	// OnCorpus, when set, is called when a run's trace enters the
 	// corpus through local novelty (not for entries injected with
-	// InjectSeed, so fleet corpus sync cannot echo). Same cheapness
-	// contract as OnFinding.
+	// InjectSeed, so an imported sync-directory entry is never written
+	// back). Same cheapness contract as OnFinding.
 	OnCorpus func(tr *randtest.Trace, score float64)
 	// Tracer, when set, receives execution spans: worker w records on
 	// lane w, so the tracer must have at least Workers lanes. Each
@@ -398,22 +399,23 @@ func (e *Engine) Wait() (*Report, error) {
 }
 
 // Stop requests an early campaign stop: workers finish their current
-// execution and exit their loops. Wait still collects the report. The
-// fleet worker calls this on shard reassignment and shutdown.
+// execution and exit their loops. Wait still collects the report.
 func (e *Engine) Stop() {
 	e.stop.Store(true)
 }
 
 // CoverageDelta exports the campaign's merged coverage aggregate in
-// wire form — the cumulative per-worker payload of fleet reports.
+// serializable form — what a sync-directory worker writes to its
+// coverage.json.
 func (e *Engine) CoverageDelta() coverage.Delta {
 	return e.agg.Export()
 }
 
-// InjectSeed adds a foreign trace (a peer worker's novel corpus entry,
-// arrived via fleet corpus sync) to the corpus. It carries no end-state
-// snapshot, so the first local extension replays it and captures one;
-// OnCorpus deliberately does not fire for injected entries.
+// InjectSeed adds a foreign trace (a corpus entry read from a sync
+// directory: a peer's, or an earlier session's) to the corpus. It
+// carries no end-state snapshot, so the first local extension replays
+// it and captures one; OnCorpus deliberately does not fire for
+// injected entries.
 func (e *Engine) InjectSeed(tr *randtest.Trace, score float64) {
 	if tr.Len() == 0 || score <= 0 {
 		return
@@ -631,7 +633,7 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 				telSnapFallback.Inc()
 				// The state just rebuilt is exactly the parent's end
 				// state — capture it once so later forks of this entry
-				// (fleet-injected seeds arrive snapshot-less) restore
+				// (injected seeds arrive snapshot-less) restore
 				// instead of replaying.
 				e.corpus.backfill(in.parent, e.captureParent(w, ws))
 			}

@@ -32,7 +32,7 @@ var (
 	telSnapDirty    = telemetry.NewCounter("snapshot_dirty_frames")
 	telSnapFallback = telemetry.NewCounter("snapshot_fallback_full")
 	// telSnapBackfill counts end-state snapshots captured for corpus
-	// entries that arrived without one (fleet-injected seeds): each
+	// entries that arrived without one (injected seeds): each
 	// backfill turns every future fork of that entry from a full replay
 	// into a snapshot restore.
 	telSnapBackfill = telemetry.NewCounter("snapshot_backfills")

@@ -7,14 +7,14 @@ import (
 )
 
 // Delta is the serializable form of an aggregate's raw observations —
-// what a fleet worker ships to the coordinator so coverage merging can
-// cross a process boundary. It is a plain-data mirror of the
+// what a sync-directory worker writes to its coverage.json so coverage
+// merging can cross a process boundary. It is a plain-data mirror of the
 // Aggregator's maps with a deterministic field order (sorted slices,
 // no maps), so equal aggregates export byte-equal JSON.
 //
-// Workers send their *cumulative* delta on every report: the merge is
-// then idempotent under retries (the coordinator replaces the worker's
-// previous contribution instead of double-counting a resent batch).
+// Workers rewrite their *cumulative* delta each time: the merge of
+// every worker's latest file is then idempotent (a rewrite replaces
+// the worker's previous contribution instead of double-counting it).
 type Delta struct {
 	Outcomes       []OutcomeCount `json:"outcomes,omitempty"`
 	AbortsMapped   int            `json:"aborts_mapped,omitempty"`
@@ -98,8 +98,8 @@ func (a *Aggregator) AbsorbDelta(d Delta) int {
 }
 
 // SupersetOf reports whether every coverage key observed in o (with a
-// positive count) is also observed in d — the fleet-smoke assertion
-// that the coordinator's merged coverage subsumes each worker's.
+// positive count) is also observed in d — the assertion that a sync
+// directory's merged coverage subsumes each worker's.
 func (d Delta) SupersetOf(o Delta) bool {
 	have := make(map[OutcomeCount]bool, len(d.Outcomes))
 	for _, oc := range d.Outcomes {

@@ -84,6 +84,14 @@ func (p *Pool) Contains(pfn arch.PFN) bool {
 	return p.contains(pfn)
 }
 
+// InUse reports whether pfn is a frame of this pool currently handed
+// out.
+func (p *Pool) InUse(pfn arch.PFN) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.inUse[pfn]
+}
+
 // Available returns the number of free frames.
 func (p *Pool) Available() int {
 	p.mu.Lock()

@@ -273,7 +273,12 @@ func (e *replayEnv) apply(d *proxy.Driver, op Op) {
 			e.pfns[op.PFN] = pfn
 		}
 	case OpFree:
-		d.FreePage(e.xp(op.PFN))
+		// A shrunk trace can keep a free whose alloc was dropped. The
+		// host allocator never frees a frame it does not hold, so the
+		// op is skipped instead of double-freeing.
+		if pfn := e.xp(op.PFN); d.HostPool.InUse(pfn) {
+			d.FreePage(pfn)
+		}
 	case OpTouch:
 		d.Access(op.CPU, arch.IPA(e.xp(op.PFN).Phys()), op.Write)
 	case OpShare:

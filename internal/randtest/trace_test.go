@@ -85,6 +85,27 @@ func TestReplayMatchesRecording(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsOrphanFree pins that a shrunk trace keeping a free
+// whose alloc was dropped replays without a double-free panic, and
+// that a free of a replayed alloc still returns the frame.
+func TestReplaySkipsOrphanFree(t *testing.T) {
+	hv, err := hyp.New(hyp.Config{})
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	d := proxy.New(hv)
+	start, _ := d.HostPool.Range()
+	Replay(d, &Trace{Ops: []Op{
+		{Kind: OpFree, PFN: start + 7}, // its alloc was shrunk away
+		{Kind: OpAlloc, PFN: start + 3},
+		{Kind: OpFree, PFN: start + 3},
+		{Kind: OpFree, PFN: start + 3}, // the re-alloc between was shrunk away
+	}})
+	if n := d.HostPool.Allocated(); n != 0 {
+		t.Errorf("%d host frames left allocated, want 0", n)
+	}
+}
+
 // TestWorkerSeedDecorrelated checks the per-worker seed derivation
 // yields distinct, positive seeds across workers and campaign seeds.
 func TestWorkerSeedDecorrelated(t *testing.T) {

@@ -1,23 +1,24 @@
 // Trace wire codec: a deterministic, versioned binary encoding of
-// recorded operation traces, the unit the distributed campaign fleet
-// (internal/fleet) ships between workers and the coordinator. Two
+// recorded operation traces, the unit the sync directory
+// (internal/syncdir) stores as corpus and finding files. Two
 // properties are load-bearing and tested:
 //
 //   - determinism: encoding the same trace always yields the same
 //     bytes (every field is written unconditionally, in declaration
 //     order, with no maps involved), so content hashes of encoded
 //     traces are stable across processes and machines — the basis of
-//     fleet-level finding dedup and corpus-entry dedup;
+//     finding dedup and corpus-entry dedup (TraceHash);
 //   - versioning: the header carries a format version, and decoding
 //     rejects versions it does not know with ErrWireVersion instead of
-//     misparsing — a fleet mixing binaries from different commits
-//     fails loudly at the first exchange.
+//     misparsing — a sync directory shared by binaries from different
+//     commits fails loudly at the first foreign file.
 package randtest
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
@@ -77,6 +78,55 @@ func DecodeTrace(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("randtest: %d trailing bytes after trace", len(r.data)-r.pos)
 	}
 	return tr, nil
+}
+
+// TraceHash is a canonical content hash of a trace: FNV-1a over the
+// wire encoding of its ops with frame numbers, VM handles, and CPU
+// indices renumbered in order of first appearance. Recorded PFNs,
+// handles, and CPU placements are concrete values from the discovering
+// run — two reproductions of the same bug typically differ only in
+// where their allocations landed and which CPUs the generator happened
+// to pick — and this normalization makes their hashes collide on
+// purpose while preserving the *relative* structure (same-CPU vs
+// cross-CPU op pairs, same-frame vs different-frame accesses stay
+// distinct). Frame 0 and handle 0 ("none") keep id 0.
+func TraceHash(tr *Trace) uint64 {
+	h := fnv.New64a()
+	pfns := map[arch.PFN]uint64{0: 0}
+	handles := map[hyp.Handle]uint64{0: 0}
+	cpus := map[int]uint64{}
+	var buf []byte
+	if tr != nil {
+		for _, op := range tr.Ops {
+			op.CPU = int(renumber(cpus, op.CPU))
+			op.PFN = arch.PFN(renumber(pfns, op.PFN))
+			op.H = hyp.Handle(renumber(handles, op.H))
+			buf = appendOp(buf[:0], op)
+			h.Write(buf)
+		}
+	}
+	return h.Sum64()
+}
+
+func renumber[K comparable](ids map[K]uint64, k K) uint64 {
+	id, ok := ids[k]
+	if !ok {
+		id = uint64(len(ids))
+		ids[k] = id
+	}
+	return id
+}
+
+// DedupKey is the identity of a finding: the canonical hash of its
+// minimized trace, or of the full trace when minimization came up
+// empty. Two campaigns that shrink the same bug to the same minimal op
+// sequence — whatever concrete frames their allocations landed on —
+// get the same key.
+func DedupKey(min, full *Trace) uint64 {
+	if min.Len() == 0 {
+		return TraceHash(full)
+	}
+	return TraceHash(min)
 }
 
 // appendOp writes every Op field unconditionally in declaration order —

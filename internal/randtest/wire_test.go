@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
 )
 
@@ -42,7 +43,7 @@ func wireSampleTrace() *Trace {
 
 // TestTraceWireRoundTrip pins the load-bearing properties: decoding an
 // encoded trace reproduces it exactly, and re-encoding the decoded
-// trace is byte-identical (determinism, the basis of fleet dedup).
+// trace is byte-identical (determinism, the basis of finding dedup).
 func TestTraceWireRoundTrip(t *testing.T) {
 	tr := wireSampleTrace()
 	blob := EncodeTrace(tr)
@@ -62,7 +63,7 @@ func TestTraceWireRoundTrip(t *testing.T) {
 }
 
 // TestTraceWireNil pins that a nil trace encodes as a decodable empty
-// trace (fleet findings may carry an empty Min).
+// trace (findings may carry an empty Min).
 func TestTraceWireNil(t *testing.T) {
 	got, err := DecodeTrace(EncodeTrace(nil))
 	if err != nil {
@@ -74,7 +75,8 @@ func TestTraceWireNil(t *testing.T) {
 }
 
 // TestTraceWireVersionSkew pins the loud rejection of a version this
-// binary does not speak — the mixed-commit-fleet failure mode.
+// binary does not speak — a sync directory shared by binaries from
+// different commits.
 func TestTraceWireVersionSkew(t *testing.T) {
 	blob := EncodeTrace(wireSampleTrace())
 	blob[4] = TraceWireVersion + 1 // version byte follows the 4-byte magic
@@ -100,5 +102,74 @@ func TestTraceWireStrict(t *testing.T) {
 	}
 	if _, err := DecodeTrace(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Error("trailing byte decoded without error")
+	}
+}
+
+func hashSampleTrace(pfnBase uint64, handle uint32) *Trace {
+	return &Trace{Ops: []Op{
+		{Kind: OpAlloc, CPU: 1, PFN: arch.PFN(pfnBase)},
+		{Kind: OpShare, PFN: arch.PFN(pfnBase)},
+		{Kind: OpInitVM, Nr: 2, H: hyp.Handle(handle)},
+		{Kind: OpUnshare, PFN: arch.PFN(pfnBase)},
+		{Kind: OpTouch, PFN: arch.PFN(pfnBase + 1), Write: true},
+		{Kind: OpTeardown, H: hyp.Handle(handle)},
+	}}
+}
+
+// TestTraceHashCanonical pins the dedup normalization: the same op
+// structure over different concrete frames and handles — two workers
+// reproducing one bug — hashes identically, while a structural change
+// does not.
+func TestTraceHashCanonical(t *testing.T) {
+	a := hashSampleTrace(0x81000, 0x11)
+	b := hashSampleTrace(0x9f3c0, 0xbeef)
+	if TraceHash(a) != TraceHash(b) {
+		t.Error("renumbered-equivalent traces hash differently")
+	}
+	c := hashSampleTrace(0x81000, 0x11)
+	c.Ops[0], c.Ops[1] = c.Ops[1], c.Ops[0]
+	if TraceHash(a) == TraceHash(c) {
+		t.Error("reordered trace hashes identically")
+	}
+	// Distinct frames must not collapse: alloc(p1),touch(p2) is not
+	// alloc(p1),touch(p1).
+	d := hashSampleTrace(0x81000, 0x11)
+	d.Ops[4].PFN = d.Ops[0].PFN
+	if TraceHash(a) == TraceHash(d) {
+		t.Error("traces touching different frames hash identically")
+	}
+	// CPU placement is renumbered: the same op pattern issued from
+	// different concrete CPUs collides, but same-CPU vs cross-CPU
+	// structure stays distinct.
+	e := hashSampleTrace(0x81000, 0x11)
+	for i := range e.Ops {
+		e.Ops[i].CPU = (e.Ops[i].CPU + 2) % 4 // consistent relabeling
+	}
+	if TraceHash(a) != TraceHash(e) {
+		t.Error("CPU-relabeled trace hashes differently")
+	}
+	f := hashSampleTrace(0x81000, 0x11)
+	f.Ops[1].CPU = f.Ops[0].CPU // share moves onto the alloc CPU
+	if TraceHash(a) == TraceHash(f) {
+		t.Error("cross-CPU and same-CPU traces hash identically")
+	}
+	// The real frame 0 ("no frame") stays distinct from any frame.
+	g := hashSampleTrace(0x81000, 0x11)
+	g.Ops[4].PFN = 0
+	if TraceHash(a) == TraceHash(g) {
+		t.Error("frame 0 hashes like a real frame")
+	}
+}
+
+// TestDedupKeyFallback pins that a finding whose minimization came up
+// empty dedups by its full trace instead.
+func TestDedupKeyFallback(t *testing.T) {
+	full, min := hashSampleTrace(0x81000, 0x11), hashSampleTrace(0x82000, 0x21)
+	min.Ops = min.Ops[:3]
+	if DedupKey(nil, full) != TraceHash(full) {
+		t.Error("empty Min did not fall back to the full trace hash")
+	}
+	if DedupKey(min, full) != TraceHash(min) {
+		t.Error("dedup key is not the minimized-trace hash")
 	}
 }
