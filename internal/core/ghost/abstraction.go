@@ -167,32 +167,46 @@ func checkHostOwnedLegal(hv *hyp.Hypervisor, ml Maplet) error {
 //
 //ghost:requires lock=vms
 func AbstractVMs(hv *hyp.Hypervisor) VMs {
-	out := VMs{Present: true, Table: make(map[hyp.Handle]*VMInfo), Reclaim: PageSet{}}
+	out := VMs{Present: true, Table: make(map[hyp.Handle]*VMInfo), Reclaim: abstractReclaim(hv)}
 	for slot := 0; slot < hyp.MaxVMs; slot++ {
-		vm := hv.VMSnapshot(slot)
-		if vm == nil {
-			continue
+		if vm := hv.VMSnapshot(slot); vm != nil {
+			out.Table[vm.Handle] = abstractVM(vm)
 		}
-		info := &VMInfo{Handle: vm.Handle, NrVCPUs: vm.NrVCPUs, Donated: vm.DonatedPages()}
-		info.VCPUs = make([]VCPUInfo, 0, len(vm.VCPUs))
-		for _, vc := range vm.VCPUs {
-			vi := VCPUInfo{
-				Initialized: vc.Initialized,
-				LoadedOn:    vc.LoadedOn,
-				Regs:        vc.Regs,
-			}
-			// A loaded vCPU's memcache is owned by its physical CPU,
-			// not by the VM-table lock: it appears in that CPU's
-			// locals instead.
-			if vc.LoadedOn < 0 {
-				vi.MC = vc.MC.Pages()
-			}
-			info.VCPUs = append(info.VCPUs, vi)
-		}
-		out.Table[vm.Handle] = info
 	}
+	return out
+}
+
+// abstractVM records one live VM's metadata. Caller holds the vms
+// lock.
+//
+//ghost:requires lock=vms
+func abstractVM(vm *hyp.VM) *VMInfo {
+	info := &VMInfo{Handle: vm.Handle, NrVCPUs: vm.NrVCPUs, Donated: vm.DonatedPages()}
+	info.VCPUs = make([]VCPUInfo, 0, len(vm.VCPUs))
+	for _, vc := range vm.VCPUs {
+		vi := VCPUInfo{
+			Initialized: vc.Initialized,
+			LoadedOn:    vc.LoadedOn,
+			Regs:        vc.Regs,
+		}
+		// A loaded vCPU's memcache is owned by its physical CPU, not
+		// by the VM-table lock: it appears in that CPU's locals
+		// instead.
+		if vc.LoadedOn < 0 {
+			vi.MC = vc.MC.Pages()
+		}
+		info.VCPUs = append(info.VCPUs, vi)
+	}
+	return info
+}
+
+// abstractReclaim records the reclaim set. Caller holds the vms lock.
+//
+//ghost:requires lock=vms
+func abstractReclaim(hv *hyp.Hypervisor) PageSet {
+	out := PageSet{}
 	for _, pfn := range hv.ReclaimablePFNs() {
-		out.Reclaim.Add(pfn)
+		out.Add(pfn)
 	}
 	return out
 }

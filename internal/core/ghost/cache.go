@@ -2,6 +2,7 @@ package ghost
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -112,11 +113,24 @@ type PgtableCache struct {
 	sub   Mapping
 }
 
+// vaRange is a range of input addresses: nrPages pages from va.
+type vaRange struct {
+	va, nrPages uint64
+}
+
 // Interpret returns the abstraction of the table rooted at root,
 // re-interpreting only the descriptors that changed since the previous
 // call. The returned abstraction is a copy-on-write clone: the caller
 // may hold it indefinitely, and later cache updates will not mutate it.
 func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPgtable, CacheOutcome) {
+	return c.interpret(m, root, nil)
+}
+
+// interpret is Interpret that, on a partial walk, also appends to
+// spliced (when non-nil) the input range of every run of descriptors
+// it re-interpreted: outside those ranges the returned mapping is the
+// one the previous call returned.
+func (c *PgtableCache) interpret(m *arch.Memory, root arch.PhysAddr, spliced *[]vaRange) (AbstractPgtable, CacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -189,9 +203,12 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 	for _, r := range runs {
 		c.sub.maplets = c.sub.maplets[:0]
 		pages += c.interpretRange(m, c.tables[r.slot].descs, r.lo, r.hi, r.level, r.vaBase, &c.sub)
-		shift := arch.LevelShift(r.level)
-		c.abs.Mapping.SpliceRange(r.vaBase|uint64(r.lo)<<shift, uint64(r.hi-r.lo)*arch.LevelPages(r.level),
-			c.sub.maplets)
+		rng := vaRange{va: r.vaBase | uint64(r.lo)<<arch.LevelShift(r.level),
+			nrPages: uint64(r.hi-r.lo) * arch.LevelPages(r.level)}
+		c.abs.Mapping.SpliceRange(rng.va, rng.nrPages, c.sub.maplets)
+		if spliced != nil {
+			*spliced = append(*spliced, rng)
+		}
 	}
 	if structural || outcome == CacheFull {
 		c.abs.Footprint = c.footprint()
@@ -248,7 +265,9 @@ func (c *PgtableCache) Stats() CacheStats {
 
 // hostCache wraps a PgtableCache with the ghost_host projection: on a
 // hit the derived Annot/Shared components and the legality verdict are
-// returned from store, so the hit path skips the maplet scan too.
+// returned from store, so the hit path skips the maplet scan too; on a
+// partial walk only the input ranges the walk spliced are re-projected
+// and re-checked.
 type hostCache struct {
 	pgt PgtableCache
 
@@ -256,21 +275,158 @@ type hostCache struct {
 	valid     bool
 	host      Host
 	violation error
+
+	// Scratch reused across calls.
+	spliced       []vaRange
+	sub           []Maplet
+	annot, shared []Maplet
 }
 
+//ghost:requires lock=host
 func (hc *hostCache) abstract(hv *hyp.Hypervisor) (Host, PageSet, error) {
-	full, outcome := hc.pgt.Interpret(hv.Mem, hv.HostPGTRoot())
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
-	if outcome != CacheHit || !hc.valid {
+	hc.spliced = hc.spliced[:0]
+	full, outcome := hc.pgt.interpret(hv.Mem, hv.HostPGTRoot(), &hc.spliced)
+	switch {
+	case hc.valid && outcome == CacheHit:
+		// The stored violation is returned on hits too: the uncached
+		// path re-found an illegal mapping on every hook, and alarm
+		// cadence must not depend on whether the cache hit.
+	case hc.valid && outcome == CachePartial && hc.violation == nil && hc.rederive(hv, &full):
+	default:
 		hc.host, hc.violation = deriveHost(hv, &full)
 		hc.valid = true
 	}
-	// The stored violation is returned on hits too: the uncached path
-	// re-found an illegal mapping on every hook, and alarm cadence must
-	// not depend on whether the cache hit.
 	return Host{Present: true, Annot: hc.host.Annot.Clone(), Shared: hc.host.Shared.Clone()},
 		full.Footprint, hc.violation
+}
+
+// rederive brings the stored projection up to date with full by
+// re-projecting only the ranges the last walk spliced: everywhere else
+// full is unchanged, and so, page by page, are Annot, Shared and the
+// legality of the dropped owned mappings. It reports false when a
+// spliced range holds an illegal mapping, leaving the projection half
+// updated: the caller then re-derives it whole, so the alarm names the
+// same first violation the reference path reports.
+//
+// Caller holds hc.mu.
+func (hc *hostCache) rederive(hv *hyp.Hypervisor, full *AbstractPgtable) bool {
+	for _, r := range hc.spliced {
+		hc.sub = full.Mapping.appendRange(hc.sub[:0], r.va, r.nrPages)
+		annot, shared := hc.annot[:0], hc.shared[:0]
+		for _, ml := range hc.sub {
+			switch ml.Target.Kind {
+			case TargetAnnotated:
+				annot = append(annot, ml)
+			case TargetMapped:
+				switch ml.Target.Attrs.State {
+				case arch.StateSharedOwned, arch.StateSharedBorrowed:
+					shared = append(shared, ml)
+				case arch.StateOwned:
+					if checkHostOwnedLegal(hv, ml) != nil {
+						return false
+					}
+				}
+			}
+		}
+		hc.annot, hc.shared = annot, shared
+		// Mapping-on-demand faults change only owned pages; leaving
+		// the projections untouched then saves rebuilding them.
+		if !hc.host.Annot.rangeEqual(r.va, r.nrPages, annot) {
+			hc.host.Annot.SpliceRange(r.va, r.nrPages, annot)
+		}
+		if !hc.host.Shared.rangeEqual(r.va, r.nrPages, shared) {
+			hc.host.Shared.SpliceRange(r.va, r.nrPages, shared)
+		}
+	}
+	return true
+}
+
+// vmsCache is the VM table's counterpart of PgtableCache. It keeps the
+// last VM-table abstraction and at every hook re-reads every field of
+// every live VM, comparing in place against the recorded entry: a VM
+// whose metadata reads back unchanged keeps its recorded *VMInfo, an
+// unchanged reclaim set keeps its PageSet, and an unchanged table is
+// returned as is, without allocating. Since every field is still read,
+// a change made without the lock is still seen. Handing out the same
+// pointers again is sound because recorded VMInfos are immutable (see
+// VMInfo); the table map is never written once returned either — a
+// change builds a new one.
+type vmsCache struct {
+	mu    sync.Mutex
+	valid bool
+	vms   VMs
+}
+
+//ghost:requires lock=vms
+func (vc *vmsCache) abstract(hv *hyp.Hypervisor) VMs {
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	if !vc.valid {
+		vc.vms, vc.valid = AbstractVMs(hv), true
+		return vc.vms
+	}
+	prev := vc.vms
+	table := prev.Table
+	copied := false
+	var live [hyp.MaxVMs]hyp.Handle
+	nLive := 0
+	for slot := 0; slot < hyp.MaxVMs; slot++ {
+		vm := hv.VMSnapshot(slot)
+		if vm == nil {
+			continue
+		}
+		live[nLive] = vm.Handle
+		nLive++
+		if old := table[vm.Handle]; old != nil && vmCurrent(old, vm) {
+			continue
+		}
+		if !copied {
+			table, copied = maps.Clone(prev.Table), true
+		}
+		table[vm.Handle] = abstractVM(vm)
+	}
+	// Drop the entries of VMs that left the table.
+	for h := range table {
+		if !slices.Contains(live[:nLive], h) {
+			if !copied {
+				table, copied = maps.Clone(prev.Table), true
+			}
+			delete(table, h)
+		}
+	}
+	reclaim := prev.Reclaim
+	if hv.NrReclaimable() != reclaim.Len() || !hv.ReclaimableAll(reclaim.Contains) {
+		reclaim = abstractReclaim(hv)
+	} else if !copied {
+		return prev
+	}
+	vc.vms = VMs{Present: true, Table: table, Reclaim: reclaim}
+	return vc.vms
+}
+
+// vmCurrent reports whether the recorded entry old still describes vm,
+// field by field as AbstractVMs would record it.
+//
+//ghost:requires lock=vms
+func vmCurrent(old *VMInfo, vm *hyp.VM) bool {
+	if old.Handle != vm.Handle || old.NrVCPUs != vm.NrVCPUs || len(old.VCPUs) != len(vm.VCPUs) ||
+		!vm.DonatedEqual(old.Donated) {
+		return false
+	}
+	for i, vc := range vm.VCPUs {
+		o := &old.VCPUs[i]
+		loadedOn := vc.LoadedOn
+		if o.Initialized != vc.Initialized || o.LoadedOn != loadedOn || o.Regs != vc.Regs {
+			return false
+		}
+		// A loaded vCPU's memcache is recorded in its CPU's locals.
+		if loadedOn < 0 && !vc.MC.PagesEqual(o.MC) || loadedOn >= 0 && len(o.MC) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // slot caches the table page at table at the given position, with its

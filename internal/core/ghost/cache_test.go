@@ -377,7 +377,7 @@ func TestSeparationReportsAllViolations(t *testing.T) {
 	r.shared.Host = Host{Present: true}
 	r.hostFootprint = NewPageSet(carve + 1)
 
-	r.checkSeparation()
+	r.checkSeparation(bootCPU)
 	fs := r.Failures()
 	if len(fs) != 1 {
 		t.Fatalf("%d separation alarms, want 1 combined", len(fs))
@@ -411,5 +411,53 @@ func TestVerifyCacheCleanScenario(t *testing.T) {
 	st := s.rec.Stats()
 	if st.Cache.Hits == 0 || st.Cache.PartialWalks == 0 {
 		t.Errorf("scenario exercised no cache hits/partial walks: %+v", st.Cache)
+	}
+}
+
+// TestHostInvariantIncremental: an illegal plainly-owned host mapping
+// planted between hypercalls is dropped from the host abstraction, so
+// only the legality check can see it. The next host-lock hook's partial
+// walk must find it, with the reference path's text, and every later
+// host-lock hook must report it again, as the full recompute does.
+func TestHostInvariantIncremental(t *testing.T) {
+	s := newSys(t)
+	s.rec.VerifyCache = true
+	s.hvc(t, 0, hyp.HCHostShareHyp, uint64(s.hostPFN(1)))
+	s.mustClean(t)
+	walks := s.rec.Stats().Cache.PartialWalks
+
+	victim := s.hostPFN(60).Phys()
+	hostForceMap(t, s.hv, uint64(victim), victim+arch.PageSize,
+		arch.Attrs{Perms: arch.PermRWX, Mem: arch.MemNormal, State: arch.StateOwned})
+	_, want := AbstractHost(s.hv)
+	if want == nil {
+		t.Fatal("planted mapping is legal")
+	}
+	count := func() int {
+		n := 0
+		for _, f := range s.rec.Failures() {
+			switch f.Kind {
+			case FailHostInvariant:
+				if f.Detail != want.Error() {
+					t.Errorf("invariant alarm %q, reference says %q", f.Detail, want)
+				}
+				n++
+			case FailCacheDivergence:
+				t.Errorf("cache diverged: %v", f)
+			}
+		}
+		return n
+	}
+	s.hvc(t, 0, hyp.HCHostShareHyp, uint64(s.hostPFN(2)))
+	first := count()
+	if first == 0 {
+		t.Fatal("illegal owned mapping raised no host-invariant alarm")
+	}
+	if s.rec.Stats().Cache.PartialWalks == walks {
+		t.Error("the alarm did not come through a partial walk")
+	}
+	s.hvc(t, 0, hyp.HCHostShareHyp, uint64(s.hostPFN(3)))
+	if count() <= first {
+		t.Error("host-invariant alarm not repeated at the next host-lock hooks")
 	}
 }

@@ -93,6 +93,18 @@ type Maplet struct {
 
 func (m Maplet) end() uint64 { return m.VA + m.NrPages<<arch.PageShift }
 
+// clip cuts m to the input range [lo, hi), which it must overlap.
+func (m Maplet) clip(lo, hi uint64) Maplet {
+	if m.VA < lo {
+		skip := (lo - m.VA) >> arch.PageShift
+		m = Maplet{VA: lo, NrPages: m.NrPages - skip, Target: m.Target.at(skip)}
+	}
+	if e := m.end(); e > hi {
+		m.NrPages -= (e - hi) >> arch.PageShift
+	}
+	return m
+}
+
 func (m Maplet) String() string {
 	return fmt.Sprintf("virt:%x+%d %s", m.VA, m.NrPages, m.Target)
 }
@@ -218,6 +230,39 @@ func (m *Mapping) Set(va uint64, nrPages uint64, t Target) {
 // maplets as needed.
 func (m *Mapping) Remove(va uint64, nrPages uint64) {
 	m.SpliceRange(va, nrPages, nil)
+}
+
+// appendRange appends to out the maplets of [va, va+nrPages*4K), cut
+// at the range ends, and returns the extended slice.
+func (m Mapping) appendRange(out []Maplet, va, nrPages uint64) []Maplet {
+	end := va + nrPages<<arch.PageShift
+	lo := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].end() > va })
+	for _, ml := range m.maplets[lo:] {
+		if ml.VA >= end {
+			break
+		}
+		out = append(out, ml.clip(va, end))
+	}
+	return out
+}
+
+// rangeEqual reports whether the maplets of [va, va+nrPages*4K), cut
+// at the range ends, are exactly repl: whether SpliceRange(va,
+// nrPages, repl) would leave m as it is.
+func (m Mapping) rangeEqual(va, nrPages uint64, repl []Maplet) bool {
+	end := va + nrPages<<arch.PageShift
+	lo := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].end() > va })
+	n := 0
+	for _, ml := range m.maplets[lo:] {
+		if ml.VA >= end {
+			break
+		}
+		if n == len(repl) || repl[n] != ml.clip(va, end) {
+			return false
+		}
+		n++
+	}
+	return n == len(repl)
 }
 
 // SpliceRange replaces [va, va+nrPages*4K) wholesale with repl, whose

@@ -230,6 +230,23 @@ func TestMappingAgainstReferenceModel(t *testing.T) {
 			}
 		}
 		checkCanonical(t, m)
+
+		// appendRange reads a window back as the reference has it, and
+		// rangeEqual accepts exactly that list.
+		wva, wn := page(uint64(rng.Intn(span))), uint64(rng.Intn(8)+1)
+		win := m.appendRange(nil, wva, wn)
+		var w Mapping
+		w.SpliceRange(wva, wn, win)
+		for i := uint64(0); i < wn; i++ {
+			got, ok := w.Lookup(wva + page(i))
+			want, wantOK := ref[wva+page(i)]
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("step %d: window page %#x: got %+v,%v want %+v,%v", step, wva+page(i), got, ok, want, wantOK)
+			}
+		}
+		if !m.rangeEqual(wva, wn, win) || len(win) > 0 && m.rangeEqual(wva, wn, win[1:]) {
+			t.Fatalf("step %d: rangeEqual disagrees with appendRange on %v", step, win)
+		}
 	}
 	for p := uint64(0); p < span+8; p++ {
 		got, ok := m.Lookup(page(p))

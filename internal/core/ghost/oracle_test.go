@@ -419,6 +419,44 @@ func TestOracleNonInterference(t *testing.T) {
 	s.mustAlarm(t, FailNonInterference)
 }
 
+// TestLockHookAlarmAttribution: an alarm raised in a lock hook names
+// the CPU whose trap raised it and that trap's call, and carries that
+// CPU's flight record, not CPU 0's.
+func TestLockHookAlarmAttribution(t *testing.T) {
+	s := newSys(t)
+	s.hvc(t, 3, hyp.HCHostShareHyp, uint64(s.hostPFN(1)))
+	s.hvc(t, 0, hyp.HCHostUnshareHyp, uint64(s.hostPFN(2))) // -EPERM, clean
+	s.mustClean(t)
+	hostForceMap(t, s.hv, uint64(s.hostPFN(50).Phys()), s.hostPFN(50).Phys(),
+		arch.Attrs{Perms: arch.PermRW, Mem: arch.MemNormal, State: arch.StateSharedOwned})
+	s.hvc(t, 3, hyp.HCHostShareHyp, uint64(s.hostPFN(2)))
+
+	var ni []Failure
+	for _, f := range s.rec.Failures() {
+		if f.Kind == FailNonInterference {
+			ni = append(ni, f)
+		}
+	}
+	if len(ni) != 1 {
+		t.Fatalf("%d non-interference alarms, want 1: %v", len(ni), s.rec.Failures())
+	}
+	f := ni[0]
+	if f.CPU != 3 || f.Call.CPU != 3 || f.Call.Reason != arch.ExitHVC {
+		t.Errorf("alarm attributed to cpu %d, call %q; want cpu 3's hvc", f.CPU, f.Call.String())
+	}
+	if len(f.History) == 0 {
+		t.Fatal("alarm carries no flight record")
+	}
+	for _, ev := range f.History {
+		if ev.CPU != 3 {
+			t.Errorf("flight record holds a cpu %d trap: %+v", ev.CPU, ev)
+		}
+	}
+	if last := f.History[len(f.History)-1]; last.Name != "host_share_hyp" {
+		t.Errorf("newest flight-record entry is %q, want cpu 3's host_share_hyp", last.Name)
+	}
+}
+
 // TestOracleDiffOutput: a failing check produces the paper-style
 // +/- page diff.
 func TestOracleDiffOutput(t *testing.T) {

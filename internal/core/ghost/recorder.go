@@ -103,16 +103,25 @@ type Stats struct {
 }
 
 // cpuRec is the per-hardware-thread recording slot (the thread-local
-// storage of the instrumented build).
+// storage of the instrumented build). Its states are reused from trap
+// to trap: nothing outside the trap keeps them (OnEvent receives
+// clones), and every component they hold is either freshly recorded or
+// immutable once recorded.
 type cpuRec struct {
 	active bool
 	pre    *State
 	post   *State
-	call   CallData
+	// expected is the specification's post-state buffer.
+	expected *State
+	// preLocal and postLocal back pre.Locals[cpu] and post.Locals[cpu].
+	preLocal, postLocal CPULocal
+	call                CallData
 	// sessions records every lock session of every component within
 	// the current trap, for the transactional checks of phased
-	// hypercalls.
-	sessions Sessions
+	// hypercalls and for OnEvent. keepSessions says whether this trap
+	// needs them; other traps skip the per-session snapshots.
+	sessions     Sessions
+	keepSessions bool
 }
 
 // Recorder implements hyp.Instrumentation: it computes and records
@@ -146,8 +155,15 @@ type Recorder struct {
 	// guest-cache map structure.
 	hypCache    PgtableCache
 	hostCache   hostCache
+	vmsCache    vmsCache
 	gcMu        sync.Mutex
 	guestCaches map[hyp.Handle]*PgtableCache
+
+	// sepGen counts changes to the separation check's inputs (the
+	// shared footprints and the carve-out); sepClean is one more than
+	// the sepGen the last clean check saw, 0 before any. Both are
+	// guarded by mu.
+	sepGen, sepClean uint64
 
 	// VerifyCache, when set, recomputes every abstraction from scratch
 	// beside the cached path and raises FailCacheDivergence if they
@@ -187,18 +203,17 @@ func Attach(hv *hyp.Hypervisor) *Recorder {
 	// sound. This snapshot seeds the non-interference baseline and
 	// warms the abstraction caches.
 	r.shared.Globals = AbstractGlobals(hv)
-	r.shared.Pkvm = r.abstractHyp()
-	host, hostFP, herr := r.abstractHost()
+	r.shared.Pkvm = r.abstractHyp(bootCPU)
+	host, hostFP, herr := r.abstractHost(bootCPU)
 	r.shared.Host = host
 	r.hostFootprint = hostFP
-	r.shared.VMs = AbstractVMs(hv)
+	r.shared.VMs = r.vmsCache.abstract(hv)
 
-	boot := CallData{Boot: true}
 	if herr != nil {
-		r.fail(Failure{Kind: FailHostInvariant, Call: boot, Detail: herr.Error()})
+		r.failOn(bootCPU, FailHostInvariant, herr.Error())
 	}
 	if detail := CheckInitLayout(r.shared); detail != "" {
-		r.fail(Failure{Kind: FailInitLayout, Call: boot, Detail: detail})
+		r.failOn(bootCPU, FailInitLayout, detail)
 	}
 
 	hv.SetInstrumentation(r)
@@ -210,37 +225,88 @@ func Attach(hv *hyp.Hypervisor) *Recorder {
 // functions with the incremental caches; VerifyCache re-runs the
 // reference implementation beside each and alarms on any divergence.
 
+// bootCPU stands for "no trapping CPU" in the cpu argument of the
+// recording paths: the boot-time recording in Attach.
+const bootCPU = -1
+
 // abstractHyp is AbstractHyp through the cache.
 //
 //ghost:requires lock=dynamic
-func (r *Recorder) abstractHyp() Pkvm {
+func (r *Recorder) abstractHyp(cpu int) Pkvm {
 	abs, _ := r.hypCache.Interpret(r.hv.Mem, r.hv.HypPGTRoot())
-	r.verifyCached("pkvm stage 1", abs, r.hv.HypPGTRoot())
+	r.verifyCached(cpu, "pkvm stage 1", abs, r.hv.HypPGTRoot())
 	return Pkvm{Present: true, PGT: abs}
 }
 
 // abstractHost is AbstractHostWithFootprint through the cache.
 //
 //ghost:requires lock=dynamic
-func (r *Recorder) abstractHost() (Host, PageSet, error) {
+func (r *Recorder) abstractHost(cpu int) (Host, PageSet, error) {
 	host, fp, herr := r.hostCache.abstract(r.hv)
-	if r.VerifyCache {
-		refHost, refFP, _ := AbstractHostWithFootprint(r.hv)
-		if !EqualMappings(refHost.Annot, host.Annot) || !EqualMappings(refHost.Shared, host.Shared) ||
-			!refFP.Equal(fp) {
-			r.fail(Failure{Kind: FailCacheDivergence,
-				Detail: "host stage 2: cached abstraction diverges from full recompute:\n" +
-					diffHost(refHost, host) +
-					fmt.Sprintf("  footprint: full %v, cached %v\n", refFP, fp)})
-		}
-	}
+	r.verifyHost(cpu, host, fp, herr)
 	return host, fp, herr
+}
+
+// verifyHost compares the cached host projection, footprint and
+// invariant verdict against a full recompute, when VerifyCache is set.
+//
+//ghost:requires lock=dynamic
+func (r *Recorder) verifyHost(cpu int, host Host, fp PageSet, herr error) {
+	if !r.VerifyCache {
+		return
+	}
+	sp := r.tracer.Begin(r.lane, spanGhostVerify)
+	defer sp.End()
+	refHost, refFP, refErr := AbstractHostWithFootprint(r.hv)
+	if !EqualMappings(refHost.Annot, host.Annot) || !EqualMappings(refHost.Shared, host.Shared) ||
+		!refFP.Equal(fp) {
+		r.failOn(cpu, FailCacheDivergence, "host stage 2: cached abstraction diverges from full recompute:\n"+
+			diffHost(refHost, host)+
+			fmt.Sprintf("  footprint: full %v, cached %v\n", refFP, fp))
+	}
+	if errText(refErr) != errText(herr) {
+		r.failOn(cpu, FailCacheDivergence, fmt.Sprintf(
+			"host stage 2: cached invariant verdict %q, full recompute %q", errText(herr), errText(refErr)))
+	}
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// abstractVMs is AbstractVMs through the cache.
+//
+//ghost:requires lock=vms
+func (r *Recorder) abstractVMs(cpu int) VMs {
+	vms := r.vmsCache.abstract(r.hv)
+	r.verifyVMs(cpu, vms)
+	return vms
+}
+
+// verifyVMs compares the cached VM table against a full recompute,
+// when VerifyCache is set.
+//
+//ghost:requires lock=vms
+func (r *Recorder) verifyVMs(cpu int, vms VMs) {
+	if !r.VerifyCache {
+		return
+	}
+	sp := r.tracer.Begin(r.lane, spanGhostVerify)
+	defer sp.End()
+	if ref := AbstractVMs(r.hv); !ref.Equal(vms) {
+		r.failOn(cpu, FailCacheDivergence,
+			"vm table: cached abstraction diverges from full recompute:\n"+diffVMs(ref, vms))
+	}
 }
 
 // abstractGuest is AbstractGuest through the per-VM cache.
 //
 //ghost:requires lock=dynamic
-func (r *Recorder) abstractGuest(h hyp.Handle) GuestPgt {
+func (r *Recorder) abstractGuest(cpu int, h hyp.Handle) GuestPgt {
 	slot := int(h - hyp.HandleOffset)
 	vm := r.hv.VMSnapshot(slot)
 	if vm == nil || vm.PGT == nil {
@@ -250,7 +316,7 @@ func (r *Recorder) abstractGuest(h hyp.Handle) GuestPgt {
 		return GuestPgt{Present: true, PGT: AbstractPgtable{}}
 	}
 	abs, _ := r.guestCache(h).Interpret(r.hv.Mem, vm.PGT.Root())
-	r.verifyCached(h.String()+" stage 2", abs, vm.PGT.Root())
+	r.verifyCached(cpu, h.String()+" stage 2", abs, vm.PGT.Root())
 	return GuestPgt{Present: true, PGT: abs}
 }
 
@@ -271,7 +337,7 @@ func (r *Recorder) guestCache(h hyp.Handle) *PgtableCache {
 // fresh full interpretation. Sound because hooks run under the
 // component's lock; with a hypervisor buggy enough to race here, a
 // spurious divergence alarm is the least misleading outcome available.
-func (r *Recorder) verifyCached(name string, got AbstractPgtable, root arch.PhysAddr) {
+func (r *Recorder) verifyCached(cpu int, name string, got AbstractPgtable, root arch.PhysAddr) {
 	if !r.VerifyCache {
 		return
 	}
@@ -279,15 +345,26 @@ func (r *Recorder) verifyCached(name string, got AbstractPgtable, root arch.Phys
 	defer sp.End()
 	ref := InterpretPgtable(r.hv.Mem, root)
 	if !EqualMappings(ref.Mapping, got.Mapping) || !ref.Footprint.Equal(got.Footprint) {
-		r.fail(Failure{Kind: FailCacheDivergence,
-			Detail: name + ": cached abstraction diverges from full recompute:\n" +
-				diffPages(DiffMappings(ref.Mapping, got.Mapping)) +
-				fmt.Sprintf("  footprint: full %v, cached %v\n", ref.Footprint, got.Footprint)})
+		r.failOn(cpu, FailCacheDivergence, name+": cached abstraction diverges from full recompute:\n"+
+			diffPages(DiffMappings(ref.Mapping, got.Mapping))+
+			fmt.Sprintf("  footprint: full %v, cached %v\n", ref.Footprint, got.Footprint))
 	}
 }
 
-// fail records an alarm; callers may hold mu or not (it re-locks).
+// failOn records an alarm raised by the trap in flight on cpu, or by
+// the boot-time recording when cpu is bootCPU.
+func (r *Recorder) failOn(cpu int, kind FailureKind, detail string) {
+	if cpu == bootCPU {
+		r.fail(Failure{Kind: kind, Call: CallData{Boot: true}, Detail: detail})
+		return
+	}
+	r.fail(Failure{Kind: kind, CPU: cpu, Call: r.cpus[cpu].call, Detail: detail})
+}
+
+// fail records an alarm. Callers must not hold mu.
 func (r *Recorder) fail(f Failure) {
+	// The exit locals belong to the CPU's reused recording buffers.
+	f.Call.exitLocals = nil
 	if !telemetry.Disabled() {
 		failureCounter(f.Kind).Inc()
 		// Forensics: attach the failing CPU's recent trap history. The
@@ -351,18 +428,37 @@ func (r *Recorder) Stats() Stats {
 // TrapEntry is point (1): begin recording the pre-state with the
 // thread-local data.
 func (r *Recorder) TrapEntry(cpu int, reason arch.ExitReason) {
+	sp := r.tracer.Begin(r.lane, spanGhostEntry)
+	defer sp.End()
 	rec := r.cpus[cpu]
 	rec.active = true
-	rec.pre = NewState()
-	rec.post = NewState()
+	rec.pre = reuseState(rec.pre)
+	rec.post = reuseState(rec.post)
 	rec.call = CallData{CPU: cpu, Reason: reason, Fault: r.hv.CPUs[cpu].Fault}
-	rec.sessions = make(Sessions)
 
 	r.mu.Lock()
 	rec.pre.Globals = r.shared.Globals
 	r.mu.Unlock()
-	l := AbstractLocal(r.hv, cpu)
-	rec.pre.Locals[cpu] = &l
+	rec.preLocal = AbstractLocal(r.hv, cpu)
+	rec.pre.Locals[cpu] = &rec.preLocal
+
+	rec.keepSessions = r.OnEvent != nil || reason == arch.ExitHVC && isPhased(rec.call.HC(rec.pre))
+	if rec.keepSessions {
+		if rec.sessions == nil {
+			rec.sessions = make(Sessions)
+		}
+		clear(rec.sessions)
+	}
+}
+
+// reuseState empties s for the next trap, or makes a state if there is
+// none yet.
+func reuseState(s *State) *State {
+	if s == nil {
+		return NewState()
+	}
+	s.reset()
+	return s
 }
 
 // LockAcquired is points (2)-(3): record the component's abstraction
@@ -376,8 +472,10 @@ func (r *Recorder) LockAcquired(cpu int, c hyp.Component) {
 	if !rec.active {
 		return
 	}
-	snap := r.recordComponent(rec.pre, c, true)
-	rec.sessions[c] = append(rec.sessions[c], &Session{Pre: snap})
+	snap := r.recordComponent(cpu, c, true)
+	if rec.keepSessions {
+		rec.sessions[c] = append(rec.sessions[c], &Session{Pre: snap})
+	}
 }
 
 // LockReleasing is points (4)-(5): record the component's abstraction
@@ -390,11 +488,11 @@ func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
 	if !rec.active {
 		return
 	}
-	snap := r.recordComponent(rec.post, c, false)
-	if ses := rec.sessions[c]; len(ses) > 0 && ses[len(ses)-1].Post == nil {
+	snap := r.recordComponent(cpu, c, false)
+	if ses := rec.sessions[c]; rec.keepSessions && len(ses) > 0 && ses[len(ses)-1].Post == nil {
 		ses[len(ses)-1].Post = snap
 	}
-	r.checkSeparation()
+	r.checkSeparation(cpu)
 	r.checkTLB(cpu, c)
 }
 
@@ -426,118 +524,154 @@ func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 		return // the VM table owns no translations
 	}
 	if stale := tlb.CheckCoherence(vmid); len(stale) > 0 {
-		r.fail(Failure{Kind: FailStaleTLB, CPU: cpu, Call: r.cpus[cpu].call,
-			Detail: strings.Join(stale, "\n")})
+		r.failOn(cpu, FailStaleTLB, strings.Join(stale, "\n"))
 	}
 }
 
 // recordComponent computes one component's abstraction, stores it into
-// the pre- or post-state, and returns a snapshot holding just that
-// component (the lock-session record). checkBaseline selects the
-// acquire side (non-interference comparison, keep-first into the
-// pre-state) vs the release side (refresh the shared copy,
-// overwrite-last into the post-state).
+// the trap's pre- or post-state, and, when the trap keeps lock
+// sessions, returns a snapshot holding just that component (the
+// lock-session record; nil otherwise). acquire selects the acquire
+// side (non-interference comparison, keep-first into the pre-state) vs
+// the release side (refresh the shared copy, overwrite-last into the
+// post-state).
 //
 //ghost:requires lock=dynamic
-func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline bool) *State {
+func (r *Recorder) recordComponent(cpu int, c hyp.Component, acquire bool) *State {
 	sp := r.tracer.Begin(r.lane, spanGhostRecord[c.Kind])
 	defer sp.End()
-	snap := NewState()
+	rec := r.cpus[cpu]
+	into := rec.post
+	if acquire {
+		into = rec.pre
+	}
+	var snap *State
+	if rec.keepSessions {
+		snap = NewState()
+	}
 	switch c.Kind {
 	case hyp.CompHost:
-		host, hostFP, herr := r.abstractHost()
+		host, hostFP, herr := r.abstractHost(cpu)
 		if herr != nil {
-			r.fail(Failure{Kind: FailHostInvariant, Detail: herr.Error()})
+			r.failOn(cpu, FailHostInvariant, herr.Error())
 		}
-		snap.Host = host
-		r.mu.Lock()
-		if checkBaseline {
-			if r.shared.Host.Present && !(EqualMappings(r.shared.Host.Annot, host.Annot) &&
-				EqualMappings(r.shared.Host.Shared, host.Shared)) {
-				r.mu.Unlock()
-				r.fail(Failure{Kind: FailNonInterference,
-					Detail: "host stage 2 changed while unlocked:\n" + diffHost(r.shared.Host, host)})
-				r.mu.Lock()
-			}
+		if snap != nil {
+			snap.Host = host
+		}
+		if acquire {
+			r.nonInterference(cpu, func(base *State) string {
+				if base.Host.Present && !(EqualMappings(base.Host.Annot, host.Annot) &&
+					EqualMappings(base.Host.Shared, host.Shared)) {
+					return "host stage 2 changed while unlocked:\n" + diffHost(base.Host, host)
+				}
+				return ""
+			})
 			if into.Host.Present {
-				r.mu.Unlock()
 				return snap // re-acquisition: keep the first pre
 			}
 		} else {
+			r.mu.Lock()
 			r.shared.Host = Host{Present: true, Annot: host.Annot.Clone(), Shared: host.Shared.Clone()}
+			if !r.hostFootprint.Equal(hostFP) {
+				r.sepGen++
+			}
 			r.hostFootprint = hostFP
+			r.mu.Unlock()
 		}
-		r.mu.Unlock()
 		into.Host = host
 
 	case hyp.CompHyp:
-		pk := r.abstractHyp()
-		snap.Pkvm = pk
-		r.mu.Lock()
-		if checkBaseline {
-			if r.shared.Pkvm.Present && !EqualMappings(r.shared.Pkvm.PGT.Mapping, pk.PGT.Mapping) {
-				r.mu.Unlock()
-				r.fail(Failure{Kind: FailNonInterference,
-					Detail: "pkvm stage 1 changed while unlocked:\n" +
-						diffPages(DiffMappings(r.shared.Pkvm.PGT.Mapping, pk.PGT.Mapping))})
-				r.mu.Lock()
-			}
+		pk := r.abstractHyp(cpu)
+		if snap != nil {
+			snap.Pkvm = pk
+		}
+		if acquire {
+			r.nonInterference(cpu, func(base *State) string {
+				if base.Pkvm.Present && !EqualMappings(base.Pkvm.PGT.Mapping, pk.PGT.Mapping) {
+					return "pkvm stage 1 changed while unlocked:\n" +
+						diffPages(DiffMappings(base.Pkvm.PGT.Mapping, pk.PGT.Mapping))
+				}
+				return ""
+			})
 			if into.Pkvm.Present {
-				r.mu.Unlock()
 				return snap
 			}
 		} else {
+			r.mu.Lock()
+			if !r.shared.Pkvm.PGT.Footprint.Equal(pk.PGT.Footprint) {
+				r.sepGen++
+			}
 			r.shared.Pkvm = Pkvm{Present: true, PGT: pk.PGT.Clone()}
+			r.mu.Unlock()
 		}
-		r.mu.Unlock()
 		into.Pkvm = pk
 
 	case hyp.CompVMTable:
-		vms := AbstractVMs(r.hv)
-		// snap may alias the freshly abstracted table: spec functions
-		// deep-clone via CopyVMs before mutating a post state, and the
-		// retained shared copy below is cloned independently.
-		snap.VMs = vms
-		r.mu.Lock()
-		if checkBaseline {
-			if r.shared.VMs.Present && !r.shared.VMs.Equal(vms) {
-				r.mu.Unlock()
-				r.fail(Failure{Kind: FailNonInterference, Detail: "vm table changed while unlocked"})
-				r.mu.Lock()
-			}
+		// The table and its VMInfos are immutable once recorded, so
+		// the snapshot, the trap's state and the shared copy all hold
+		// the same one.
+		vms := r.abstractVMs(cpu)
+		if snap != nil {
+			snap.VMs = vms
+		}
+		if acquire {
+			r.nonInterference(cpu, func(base *State) string {
+				if base.VMs.Present && !base.VMs.Equal(vms) {
+					return "vm table changed while unlocked:\n" + diffVMs(base.VMs, vms)
+				}
+				return ""
+			})
 			if into.VMs.Present {
-				r.mu.Unlock()
 				return snap
 			}
 		} else {
-			r.shared.VMs = vms.Clone()
+			r.mu.Lock()
+			r.shared.VMs = vms
+			r.mu.Unlock()
 		}
-		r.mu.Unlock()
 		into.VMs = vms
 
 	case hyp.CompGuest:
-		g := r.abstractGuest(c.Handle)
-		snap.Guests[c.Handle] = &GuestPgt{Present: true, PGT: g.PGT.Clone()}
-		r.mu.Lock()
-		if checkBaseline {
-			if base, ok := r.shared.Guests[c.Handle]; ok && base.Present &&
-				!EqualMappings(base.PGT.Mapping, g.PGT.Mapping) {
-				r.mu.Unlock()
-				r.fail(Failure{Kind: FailNonInterference,
-					Detail: fmt.Sprintf("guest %v stage 2 changed while unlocked", c.Handle)})
-				r.mu.Lock()
-			}
+		g := r.abstractGuest(cpu, c.Handle)
+		if snap != nil {
+			snap.Guests[c.Handle] = &GuestPgt{Present: true, PGT: g.PGT.Clone()}
+		}
+		if acquire {
+			r.nonInterference(cpu, func(base *State) string {
+				if b, ok := base.Guests[c.Handle]; ok && b.Present &&
+					!EqualMappings(b.PGT.Mapping, g.PGT.Mapping) {
+					return fmt.Sprintf("guest %v stage 2 changed while unlocked", c.Handle)
+				}
+				return ""
+			})
 			if cur, ok := into.Guests[c.Handle]; ok && cur.Present {
-				r.mu.Unlock()
 				return snap
 			}
 		} else {
+			r.mu.Lock()
+			if b, ok := r.shared.Guests[c.Handle]; !ok || !b.Present || !b.PGT.Footprint.Equal(g.PGT.Footprint) {
+				r.sepGen++
+			}
 			r.shared.Guests[c.Handle] = &GuestPgt{Present: true, PGT: g.PGT.Clone()}
+			r.mu.Unlock()
 		}
-		r.mu.Unlock()
 		into.Guests[c.Handle] = &g
 	}
 	return snap
+}
+
+// nonInterference is the §4.4 check 1 at a lock acquire: diff, run
+// under mu against the shared copy, describes how the component
+// changed since it was last recorded, or returns "" if it did not.
+func (r *Recorder) nonInterference(cpu int, diff func(base *State) string) {
+	sp := r.tracer.Begin(r.lane, spanGhostNonInterference)
+	defer sp.End()
+	r.mu.Lock()
+	detail := diff(r.shared)
+	r.mu.Unlock()
+	if detail != "" {
+		r.failOn(cpu, FailNonInterference, detail)
+	}
 }
 
 // checkSeparation verifies pairwise disjointness of all recorded
@@ -545,15 +679,23 @@ func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline b
 // boot carve-out (§4.4 check 2). Footprints are sorted run lists, so
 // each pairwise check is one linear merge, not a nested set iteration.
 // It runs at every lock release, so footprints are named only once a
-// violation needs reporting.
+// violation needs reporting; and when no footprint and not the
+// carve-out changed since the last clean check, the verdict cannot
+// have changed either, so it skips the merge. A failing check keeps
+// re-running on every release.
 //
 // Every violated pair is reported in one alarm: an earlier version kept
 // only the last formatted detail, silently overwriting earlier pairs,
 // which hid concurrent overlaps when three or more tables collided.
-func (r *Recorder) checkSeparation() {
+func (r *Recorder) checkSeparation(cpu int) {
 	sp := r.tracer.Begin(r.lane, spanGhostSeparation)
 	defer sp.End()
 	r.mu.Lock()
+	gen := r.sepGen
+	if r.sepClean == gen+1 {
+		r.mu.Unlock()
+		return
+	}
 	// owner names the pkvm and host tables; guests are named by handle.
 	type fp struct {
 		owner string
@@ -600,8 +742,12 @@ func (r *Recorder) checkSeparation() {
 	}
 	if len(details) > 0 {
 		sort.Strings(details)
-		r.fail(Failure{Kind: FailSeparation, Detail: strings.Join(details, "\n")})
+		r.failOn(cpu, FailSeparation, strings.Join(details, "\n"))
+		return
 	}
+	r.mu.Lock()
+	r.sepClean = max(r.sepClean, gen+1)
+	r.mu.Unlock()
 }
 
 // ReadOnce records a nondeterministic host-memory read (§4.3).
@@ -646,7 +792,7 @@ func (r *Recorder) HypPanic(cpu int, msg string) {
 	rec.call.Panicked = true
 	rec.call.PanicMsg = msg
 	rec.active = false
-	r.fail(Failure{Kind: FailPanic, CPU: cpu, Call: rec.call, Detail: msg})
+	r.failOn(cpu, FailPanic, msg)
 }
 
 // TrapExit is point (6)-(8): record the final thread-local state and
@@ -664,22 +810,27 @@ func (r *Recorder) TrapExit(cpu int) {
 	sp := r.tracer.Begin(r.lane, spanGhostCheck)
 	defer sp.End()
 
-	l := AbstractLocal(r.hv, cpu)
-	rec.post.Locals[cpu] = &l
+	rec.postLocal = AbstractLocal(r.hv, cpu)
+	l := &rec.postLocal
+	rec.post.Locals[cpu] = l
 	rec.post.Globals = rec.pre.Globals
 	rec.call.Ret = int64(l.HostRegs[1])
 	rec.call.GuestRegsExit = l.GuestRegs
-	rec.call.exitLocals = &l
+	rec.call.exitLocals = l
 
 	r.mu.Lock()
 	r.stats.Traps++
 	r.mu.Unlock()
 
 	if r.OnEvent != nil {
+		// The receiver may keep the event; the recording buffers are
+		// reused by the next trap.
+		call := rec.call
+		call.exitLocals = nil
 		r.OnEvent(TraceEvent{
-			Pre:      rec.pre,
-			Post:     rec.post,
-			Call:     rec.call,
+			Pre:      rec.pre.Clone(),
+			Post:     rec.post.Clone(),
+			Call:     call,
 			Sessions: sessionRecords(rec.sessions),
 		})
 	}
@@ -700,7 +851,7 @@ func (r *Recorder) TrapExit(cpu int) {
 		r.stats.Checks++
 		r.mu.Unlock()
 		if detail := checkShareRangePhased(rec.pre, &rec.call, rec.sessions); detail != "" {
-			r.fail(Failure{Kind: FailSpecMismatch, CPU: cpu, Call: rec.call, Detail: detail})
+			r.failOn(cpu, FailSpecMismatch, detail)
 			return
 		}
 		r.markPassed()
@@ -708,22 +859,21 @@ func (r *Recorder) TrapExit(cpu int) {
 	}
 
 	// (7) compute the expected post-state from pre + call data.
-	expected := NewState()
-	ok := ComputePost(expected, rec.pre, &rec.call)
+	rec.expected = reuseState(rec.expected)
+	ok := ComputePost(rec.expected, rec.pre, &rec.call)
 
 	r.mu.Lock()
 	r.stats.Checks++
 	r.mu.Unlock()
 
 	if !ok {
-		r.fail(Failure{Kind: FailSpecIncomplete, CPU: cpu, Call: rec.call,
-			Detail: "no specification for this exception"})
+		r.failOn(cpu, FailSpecIncomplete, "no specification for this exception")
 		return
 	}
 
 	// (8) the ternary pre / recorded-post / computed-post comparison.
-	if detail := CompareTernary(rec.pre, rec.post, expected, cpu); detail != "" {
-		r.fail(Failure{Kind: FailSpecMismatch, CPU: cpu, Call: rec.call, Detail: detail})
+	if detail := CompareTernary(rec.pre, rec.post, rec.expected, cpu); detail != "" {
+		r.failOn(cpu, FailSpecMismatch, detail)
 		return
 	}
 	r.markPassed()

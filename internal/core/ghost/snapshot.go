@@ -40,19 +40,22 @@ func (r *Recorder) Checkpoint() *Checkpoint {
 }
 
 // RestoreCheckpoint rewinds the recorder to a captured abstraction.
-// Per-CPU trap state is discarded (no trap survives a restore) and
-// guest abstraction caches for VMs absent from the checkpoint are
-// dropped; every other cache self-heals through the frame generations
-// the memory restore bumped — entries over untouched frames stay warm.
+// Per-CPU trap state is discarded (no trap survives a restore; the
+// recording buffers stay for reuse) and guest abstraction caches for
+// VMs absent from the checkpoint are dropped; every other cache
+// self-heals through the frame generations the memory restore bumped —
+// entries over untouched frames stay warm — or, for the VM table,
+// through re-reading every field.
 func (r *Recorder) RestoreCheckpoint(c *Checkpoint) {
 	r.mu.Lock()
 	r.shared = c.shared.Clone()
 	r.hostFootprint = c.footprint.Clone()
 	r.failures = append(r.failures[:0:0], c.failures...)
+	r.sepGen++
 	r.mu.Unlock()
 
-	for i := range r.cpus {
-		r.cpus[i] = &cpuRec{}
+	for _, rec := range r.cpus {
+		rec.active = false
 	}
 
 	r.gcMu.Lock()
@@ -64,7 +67,7 @@ func (r *Recorder) RestoreCheckpoint(c *Checkpoint) {
 	r.gcMu.Unlock()
 }
 
-// SharedState returns a deep copy of the recorder's shared ghost
+// SharedState returns a copy (State.Clone) of the recorder's shared ghost
 // state, for the snapshot conformance differ.
 func (r *Recorder) SharedState() *State {
 	r.mu.Lock()

@@ -180,7 +180,7 @@ func specTopupVCPUMemcache(post, pre *State, call *CallData) int64 {
 		return int64(hyp.EBUSY)
 	}
 
-	vcpu := &post.VMs.Table[handle].VCPUs[idx]
+	vcpu := &post.writableVM(handle).VCPUs[idx]
 	addr := head
 	readIdx := 0
 	for i := uint64(0); i < nr; i++ {

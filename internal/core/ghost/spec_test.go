@@ -48,6 +48,24 @@ func callFor(pre *State, ret int64) *CallData {
 	return &CallData{CPU: 0, Reason: arch.ExitHVC, Ret: ret}
 }
 
+// computePost is ComputePost, failing the test if the specification
+// changed the pre-state's VM table. Recorded VMInfos are shared by the
+// recorder's pre-states, post-states and shared copy (see VMInfo), so a
+// spec function writing one in place, instead of through writableVM,
+// would corrupt all of them.
+func computePost(t *testing.T, post, pre *State, call *CallData) bool {
+	t.Helper()
+	saved := pre.VMs.Clone()
+	for h, vm := range saved.Table {
+		saved.Table[h] = vm.Clone()
+	}
+	ok := ComputePost(post, pre, call)
+	if saved.Present != pre.VMs.Present || !saved.Equal(pre.VMs) {
+		t.Errorf("specification changed the pre-state's VM table:\n%s", diffVMs(saved, pre.VMs))
+	}
+	return ok
+}
+
 // ramPFN returns a pfn inside the test globals' RAM, past the carve.
 func ramPFN(n uint64) arch.PFN { return arch.PFN((1<<30+8<<20)>>arch.PageShift) + arch.PFN(n) }
 
@@ -55,7 +73,7 @@ func TestSpecShareSuccess(t *testing.T) {
 	pfn := ramPFN(0)
 	pre := prestate(hyp.HCHostShareHyp, uint64(pfn))
 	post := NewState()
-	if !ComputePost(post, pre, callFor(pre, 0)) {
+	if !computePost(t, post, pre, callFor(pre, 0)) {
 		t.Fatal("spec declined")
 	}
 	// Return registers: x0 cleared, x1 = 0.
@@ -81,7 +99,7 @@ func TestSpecShareErrors(t *testing.T) {
 	// Non-memory pfn: EINVAL.
 	pre := prestate(hyp.HCHostShareHyp, uint64(arch.PhysToPFN(hyp.UARTPhys)))
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EINVAL)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EINVAL)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EINVAL {
 		t.Errorf("MMIO share expected EINVAL, spec wrote %v", hyp.ErrnoFromReg(post.ReadGPR(0, 1)))
 	}
@@ -94,7 +112,7 @@ func TestSpecShareErrors(t *testing.T) {
 	pre = prestate(hyp.HCHostShareHyp, uint64(pfn))
 	pre.Host.Annot.Set(uint64(pfn.Phys()), 1, Annotated(hyp.IDHyp))
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EPERM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EPERM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Error("annotated share not EPERM")
 	}
@@ -104,7 +122,7 @@ func TestSpecShareErrors(t *testing.T) {
 	pre.Host.Shared.Set(uint64(pfn.Phys()), 1, Mapped(pfn.Phys(),
 		arch.Attrs{Perms: arch.PermRWX, Mem: arch.MemNormal, State: arch.StateSharedOwned}))
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EPERM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EPERM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Error("double share not EPERM")
 	}
@@ -116,7 +134,7 @@ func TestSpecShareLooseNomem(t *testing.T) {
 	pfn := ramPFN(2)
 	pre := prestate(hyp.HCHostShareHyp, uint64(pfn))
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.ENOMEM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.ENOMEM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.ENOMEM {
 		t.Error("loose ENOMEM not accepted")
 	}
@@ -128,7 +146,7 @@ func TestSpecShareLooseNomem(t *testing.T) {
 	// answer instead.
 	pre = prestate(hyp.HCVCPUPut)
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.ENOMEM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.ENOMEM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) == hyp.ENOMEM {
 		t.Error("vcpu_put allowed a spurious ENOMEM")
 	}
@@ -142,7 +160,7 @@ func TestSpecUnshare(t *testing.T) {
 	pre.Pkvm.PGT.Mapping.Set(uint64(pfn.Phys())+hyp.HypVAOffset, 1, Mapped(pfn.Phys(),
 		arch.Attrs{Perms: arch.PermRW, Mem: arch.MemNormal, State: arch.StateSharedBorrowed}))
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, 0))
+	computePost(t, post, pre, callFor(pre, 0))
 	if !post.Host.Shared.IsEmpty() || !post.Pkvm.PGT.Mapping.IsEmpty() {
 		t.Error("unshare did not clear both sides")
 	}
@@ -153,7 +171,7 @@ func TestSpecUnshare(t *testing.T) {
 	pre.Host.Shared.Set(uint64(pfn.Phys()), 1, Mapped(pfn.Phys(),
 		arch.Attrs{Perms: arch.PermRWX, Mem: arch.MemNormal, State: arch.StateSharedBorrowed}))
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EPERM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EPERM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Error("unshare of borrowed page not EPERM")
 	}
@@ -163,7 +181,7 @@ func TestSpecDonate(t *testing.T) {
 	pfn := ramPFN(4)
 	pre := prestate(hyp.HCHostDonateHyp, uint64(pfn), 3)
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, 0))
+	computePost(t, post, pre, callFor(pre, 0))
 	for i := uint64(0); i < 3; i++ {
 		tgt, ok := post.Host.Annot.Lookup(uint64(pfn.Phys()) + i*arch.PageSize)
 		if !ok || tgt.Owner != hyp.IDHyp {
@@ -186,7 +204,7 @@ func TestSpecReclaim(t *testing.T) {
 	pre.VMs.Reclaim.Add(pfn)
 	pre.Host.Annot.Set(uint64(pfn.Phys()), 1, Annotated(hyp.GuestOwner(0)))
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, 0))
+	computePost(t, post, pre, callFor(pre, 0))
 	if post.VMs.Reclaim.Contains(pfn) {
 		t.Error("reclaim set not shrunk")
 	}
@@ -197,7 +215,7 @@ func TestSpecReclaim(t *testing.T) {
 	// Not reclaimable: EPERM, nothing changes.
 	pre = prestate(hyp.HCHostReclaimPage, uint64(pfn))
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EPERM)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EPERM)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Error("unreclaimable not EPERM")
 	}
@@ -211,7 +229,7 @@ func TestSpecInitVMDeterministicSlot(t *testing.T) {
 	pre.VMs.Table[hyp.HandleOffset] = &VMInfo{Handle: hyp.HandleOffset}
 	pre.VMs.Table[hyp.HandleOffset+2] = &VMInfo{Handle: hyp.HandleOffset + 2}
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.HandleOffset+1)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.HandleOffset+1)))
 	want := hyp.HandleOffset + 1
 	if hyp.Handle(post.ReadGPR(0, 1)) != want {
 		t.Errorf("handle = %#x, want %v", post.ReadGPR(0, 1), want)
@@ -238,7 +256,7 @@ func TestSpecVCPULoadPutRoundTrip(t *testing.T) {
 	pre.VMs.Table[h] = &VMInfo{Handle: h, NrVCPUs: 1,
 		VCPUs: []VCPUInfo{{Initialized: true, LoadedOn: -1, Regs: regs, MC: mc}}}
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, 0))
+	computePost(t, post, pre, callFor(pre, 0))
 
 	l := post.Locals[0]
 	if l.PerCPU.LoadedVM != h || l.PerCPU.LoadedVCPU != 0 {
@@ -266,7 +284,7 @@ func TestSpecVCPULoadPutRoundTrip(t *testing.T) {
 	l2.GuestRegs = arch.Regs{9, 8, 7} // guest ran and changed them
 	l2.LoadedMC = mc[:1]              // one page was consumed
 	post2 := NewState()
-	ComputePost(post2, pre2, callFor(pre2, 0))
+	computePost(t, post2, pre2, callFor(pre2, 0))
 
 	vc := post2.VMs.Table[h].VCPUs[0]
 	if vc.LoadedOn != -1 || vc.Regs != (arch.Regs{9, 8, 7}) {
@@ -292,7 +310,7 @@ func TestSpecTeardownReclaimSet(t *testing.T) {
 	pre.Guests[h] = guest
 
 	post := NewState()
-	ComputePost(post, pre, callFor(pre, 0))
+	computePost(t, post, pre, callFor(pre, 0))
 	if _, still := post.VMs.Table[h]; still {
 		t.Error("vm still in table")
 	}
@@ -309,7 +327,7 @@ func TestSpecTeardownReclaimSet(t *testing.T) {
 	pre.VMs.Table[h] = &VMInfo{Handle: h, NrVCPUs: 1,
 		VCPUs: []VCPUInfo{{Initialized: true, LoadedOn: 2}}}
 	post = NewState()
-	ComputePost(post, pre, callFor(pre, int64(hyp.EBUSY)))
+	computePost(t, post, pre, callFor(pre, int64(hyp.EBUSY)))
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EBUSY {
 		t.Error("teardown of loaded VM not EBUSY")
 	}
@@ -327,7 +345,7 @@ func TestSpecTopupReplaysReads(t *testing.T) {
 		{PA: p1.Phys(), Val: 0},                 // end of list
 	}
 	post := NewState()
-	ComputePost(post, pre, call)
+	computePost(t, post, pre, call)
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.OK {
 		t.Fatalf("topup spec: %v", hyp.ErrnoFromReg(post.ReadGPR(0, 1)))
 	}
@@ -355,7 +373,7 @@ func TestSpecTopupPartialFailure(t *testing.T) {
 	call := callFor(pre, int64(hyp.EPERM))
 	call.Reads = []ReadOnceRec{{PA: p0.Phys(), Val: uint64(carve)}}
 	post := NewState()
-	ComputePost(post, pre, call)
+	computePost(t, post, pre, call)
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Fatalf("ret = %v", hyp.ErrnoFromReg(post.ReadGPR(0, 1)))
 	}
@@ -375,7 +393,7 @@ func TestSpecTopupDuplicateInList(t *testing.T) {
 	call := callFor(pre, int64(hyp.EPERM))
 	call.Reads = []ReadOnceRec{{PA: p0.Phys(), Val: uint64(p0.Phys())}}
 	post := NewState()
-	ComputePost(post, pre, call)
+	computePost(t, post, pre, call)
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.EPERM {
 		t.Error("self-looping donation list not EPERM on second visit")
 	}
@@ -402,7 +420,7 @@ func TestSpecMemAbortInjectDecision(t *testing.T) {
 		call := &CallData{CPU: 0, Reason: arch.ExitMemAbort,
 			Fault: arch.FaultInfo{Addr: arch.IPA(c.ipa), Write: true}}
 		post := NewState()
-		if !ComputePost(post, pre, call) {
+		if !computePost(t, post, pre, call) {
 			t.Fatalf("%s: spec declined", c.name)
 		}
 		if got := post.Locals[0].PerCPU.LastAbortInjected; got != c.injected {
@@ -430,7 +448,7 @@ func TestSpecGuestShareUnshare(t *testing.T) {
 	call := callFor(pre, hyp.RunExitYield)
 	call.GuestExits = []GuestExitRec{{Handle: h, VCPU: 0, Op: hyp.GuestOp{Kind: hyp.GuestShareHost, IPA: ipa}}}
 	post := NewState()
-	if !ComputePost(post, pre, call) {
+	if !computePost(t, post, pre, call) {
 		t.Fatal("spec declined")
 	}
 	// Guest side flips to shared-owned; host side gains a borrowed
@@ -453,7 +471,7 @@ func TestSpecGuestShareUnshare(t *testing.T) {
 	// Sharing an unmapped ipa: EPERM in guest r0.
 	call.GuestExits[0].Op.IPA = 99 << arch.PageShift
 	post = NewState()
-	ComputePost(post, pre, call)
+	computePost(t, post, pre, call)
 	if hyp.ErrnoFromReg(post.Locals[0].GuestRegs[0]) != hyp.EPERM {
 		t.Error("share of unmapped guest page not EPERM")
 	}
@@ -475,7 +493,7 @@ func TestSpecMapGuestMCReplay(t *testing.T) {
 	call := callFor(pre, 0)
 	call.MCOps = []MCOp{{PFN: t2}, {PFN: t1}} // two pops, LIFO
 	post := NewState()
-	ComputePost(post, pre, call)
+	computePost(t, post, pre, call)
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.OK {
 		t.Fatalf("ret: %v", hyp.ErrnoFromReg(post.ReadGPR(0, 1)))
 	}
@@ -493,7 +511,7 @@ func TestSpecMapGuestMCReplay(t *testing.T) {
 func TestSpecUnknownHypercall(t *testing.T) {
 	pre := prestate(hyp.HC(0x777))
 	post := NewState()
-	if !ComputePost(post, pre, callFor(pre, int64(hyp.ENOSYS))) {
+	if !computePost(t, post, pre, callFor(pre, int64(hyp.ENOSYS))) {
 		t.Fatal("spec declined")
 	}
 	if hyp.ErrnoFromReg(post.ReadGPR(0, 1)) != hyp.ENOSYS {
@@ -506,7 +524,7 @@ func TestSpecVCPURunRequiresGuestExit(t *testing.T) {
 	pre.Locals[0].PerCPU.LoadedVM = hyp.HandleOffset
 	// No recorded guest event: the spec cannot speak (gradual spec).
 	post := NewState()
-	if ComputePost(post, pre, callFor(pre, 0)) {
+	if computePost(t, post, pre, callFor(pre, 0)) {
 		t.Error("spec spoke without a recorded guest event")
 	}
 }
@@ -520,8 +538,8 @@ func TestSpecPurity(t *testing.T) {
 	preCopy := pre.Clone()
 
 	p1, p2 := NewState(), NewState()
-	ComputePost(p1, pre, callFor(pre, 0))
-	ComputePost(p2, preCopy, callFor(preCopy, 0))
+	computePost(t, p1, pre, callFor(pre, 0))
+	computePost(t, p2, preCopy, callFor(preCopy, 0))
 	if !EqualMappings(p1.Host.Shared, p2.Host.Shared) ||
 		!EqualMappings(p1.Pkvm.PGT.Mapping, p2.Pkvm.PGT.Mapping) ||
 		!p1.Locals[0].Equal(*p2.Locals[0]) {

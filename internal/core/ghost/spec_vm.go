@@ -84,7 +84,7 @@ func specInitVCPU(post, pre *State, call *CallData) int64 {
 		rInitVCPUEexist.hit()
 		return int64(hyp.EEXIST)
 	}
-	post.VMs.Table[handle].VCPUs[idx].Initialized = true
+	post.writableVM(handle).VCPUs[idx].Initialized = true
 	rInitVCPUOK.hit()
 	return int64(hyp.OK)
 }
@@ -177,8 +177,9 @@ func specVCPULoad(post, pre *State, call *CallData) int64 {
 		return int64(hyp.EBUSY)
 	}
 
-	post.VMs.Table[handle].VCPUs[idx].LoadedOn = cpu
-	post.VMs.Table[handle].VCPUs[idx].MC = nil // ownership moved to the CPU
+	postVC := &post.writableVM(handle).VCPUs[idx]
+	postVC.LoadedOn = cpu
+	postVC.MC = nil // ownership moved to the CPU
 
 	l := post.local(cpu)
 	l.PerCPU.LoadedVM = handle
@@ -205,7 +206,7 @@ func specVCPUPut(post, pre *State, call *CallData) int64 {
 		// The implementation panics here; no post-state to specify.
 		return int64(hyp.ENOENT)
 	}
-	vc := &post.VMs.Table[handle].VCPUs[idx]
+	vc := &post.writableVM(handle).VCPUs[idx]
 	vc.Regs = preL.GuestRegs
 	vc.LoadedOn = -1
 	vc.MC = append([]arch.PFN(nil), preL.LoadedMC...)

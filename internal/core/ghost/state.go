@@ -1,6 +1,8 @@
 package ghost
 
 import (
+	"maps"
+
 	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
 )
@@ -80,6 +82,12 @@ func (v VCPUInfo) Equal(o VCPUInfo) bool {
 // VMInfo is the ghost of one VM's metadata (protected by the VM-table
 // lock). The VM's stage 2 abstraction lives separately in
 // State.Guests, because it is protected by its own lock.
+//
+// A recorded VMInfo is immutable: while a VM's metadata reads back
+// unchanged, the recorder hands the same pointer to every pre- and
+// post-state and to the shared copy. Code that derives a new VMInfo
+// (the specification functions) clones it first, via
+// State.writableVM.
 type VMInfo struct {
 	Handle  hyp.Handle
 	NrVCPUs int
@@ -103,6 +111,9 @@ func (v *VMInfo) Clone() *VMInfo {
 
 // Equal reports structural equality.
 func (v *VMInfo) Equal(o *VMInfo) bool {
+	if v == o {
+		return true
+	}
 	if v.Handle != o.Handle || v.NrVCPUs != o.NrVCPUs || len(v.VCPUs) != len(o.VCPUs) ||
 		len(v.Donated) != len(o.Donated) {
 		return false
@@ -128,14 +139,13 @@ type VMs struct {
 	Reclaim PageSet
 }
 
-// Clone returns an independent copy.
+// Clone returns a copy whose table and reclaim set may be changed
+// independently. The VMInfos themselves are shared: they are
+// immutable (see VMInfo).
 func (v VMs) Clone() VMs {
 	out := VMs{Present: v.Present, Reclaim: v.Reclaim.Clone()}
 	if v.Table != nil {
-		out.Table = make(map[hyp.Handle]*VMInfo, len(v.Table))
-		for h, vm := range v.Table {
-			out.Table[h] = vm.Clone()
-		}
+		out.Table = maps.Clone(v.Table)
 	}
 	return out
 }
@@ -224,7 +234,16 @@ func NewState() *State {
 	}
 }
 
-// Clone returns a deep copy.
+// reset empties s for reuse, keeping its maps' storage.
+func (s *State) reset() {
+	guests, locals := s.Guests, s.Locals
+	clear(guests)
+	clear(locals)
+	*s = State{Guests: guests, Locals: locals}
+}
+
+// Clone returns a copy that can be changed independently of s: a deep
+// copy, except that the immutable VMInfos stay shared.
 func (s *State) Clone() *State {
 	out := &State{
 		Pkvm:    Pkvm{Present: s.Pkvm.Present, PGT: s.Pkvm.PGT.Clone()},
@@ -275,8 +294,19 @@ func (s *State) CopyHost(src *State) {
 	s.Host = Host{Present: src.Host.Present, Annot: src.Host.Annot.Clone(), Shared: src.Host.Shared.Clone()}
 }
 
-// CopyVMs copies the VM-table component from src.
+// CopyVMs copies the VM-table component from src. The VMInfos stay
+// shared with src; a specification function that changes one goes
+// through writableVM.
 func (s *State) CopyVMs(src *State) { s.VMs = src.VMs.Clone() }
+
+// writableVM returns the VM-table entry for h as a private clone that
+// the caller may change, first replacing the shared entry with it. The
+// entry must exist.
+func (s *State) writableVM(h hyp.Handle) *VMInfo {
+	vm := s.VMs.Table[h].Clone()
+	s.VMs.Table[h] = vm
+	return vm
+}
 
 // CopyGuest copies one guest stage 2 component from src.
 func (s *State) CopyGuest(src *State, h hyp.Handle) {

@@ -7,9 +7,10 @@ import (
 )
 
 // Span names for the oracle's own cost, all nested in the trap span:
-// the trap-exit check (the §6 overhead headline); at every lock
-// acquire and release, the component's recording (abstraction and
-// non-interference compare); at every release, the separation and
+// the trap-entry recording of the pre-state locals; the trap-exit
+// check (the §6 overhead headline); at every lock acquire and release,
+// the component's recording, with the non-interference compare nested
+// in it at acquires; at every release, the separation and
 // TLB-coherence checks; and the differential cache verification,
 // which dominates when VerifyCache is on.
 var (
@@ -21,8 +22,10 @@ var (
 		hyp.CompVMTable: trace.NewName("ghost.record:vms"),
 		hyp.CompGuest:   trace.NewName("ghost.record:guest"),
 	}
-	spanGhostSeparation = trace.NewName("ghost.separation")
-	spanGhostTLB        = trace.NewName("ghost.tlb-coherence")
+	spanGhostSeparation      = trace.NewName("ghost.separation")
+	spanGhostTLB             = trace.NewName("ghost.tlb-coherence")
+	spanGhostNonInterference = trace.NewName("ghost.noninterference")
+	spanGhostEntry           = trace.NewName("ghost.entry")
 )
 
 // The oracle's own telemetry: how often it checks, how often it fires,

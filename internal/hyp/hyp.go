@@ -406,6 +406,27 @@ func (hv *Hypervisor) ReclaimablePFNs() []arch.PFN {
 	return out
 }
 
+// NrReclaimable reports the size of the reclaim set. Caller must be
+// under the vms lock (see VMSnapshot).
+//
+//ghost:requires lock=vms
+func (hv *Hypervisor) NrReclaimable() int { return len(hv.reclaimable) }
+
+// ReclaimableAll reports whether every frame of the reclaim set
+// satisfies in, without building the sorted copy ReclaimablePFNs
+// returns. With NrReclaimable it confirms a recorded reclaim set is
+// still current. Caller must be under the vms lock (see VMSnapshot).
+//
+//ghost:requires lock=vms
+func (hv *Hypervisor) ReclaimableAll(in func(arch.PFN) bool) bool {
+	for pfn := range hv.reclaimable {
+		if !in(pfn) {
+			return false
+		}
+	}
+	return true
+}
+
 // PerCPUState exposes the physical CPU's hypervisor-local state to the
 // ghost recording of thread locals.
 func (hv *Hypervisor) PerCPUState(cpu int) PerCPU { return *hv.percpu[cpu] }

@@ -2,6 +2,7 @@ package hyp
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/mem"
@@ -122,6 +123,16 @@ func (vm *VM) DonatedPages() []arch.PFN {
 	out := make([]arch.PFN, len(vm.donated))
 	copy(out, vm.donated)
 	return out
+}
+
+// DonatedEqual reports whether the VM's remaining donated frames are
+// exactly pfns, in order: DonatedPages compared in place, without the
+// copy. The incremental ghost abstraction of the VM table uses it to
+// confirm a recorded VM is unchanged; callers hold the VM-table lock.
+//
+//ghost:requires lock=vms
+func (vm *VM) DonatedEqual(pfns []arch.PFN) bool {
+	return slices.Equal(vm.donated, pfns)
 }
 
 // GuestOpKind enumerates scripted guest behaviours.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"sync"
 
 	"ghostspec/internal/arch"
@@ -83,6 +84,14 @@ func (mc *Memcache) Pages() []arch.PFN {
 	out := make([]arch.PFN, len(mc.pages))
 	copy(out, mc.pages)
 	return out
+}
+
+// PagesEqual reports whether the reserve holds exactly pfns, bottom
+// first: Pages compared in place, without the copy.
+func (mc *Memcache) PagesEqual(pfns []arch.PFN) bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return slices.Equal(mc.pages, pfns)
 }
 
 // Drain removes and returns all frames, emptying the reserve; used

@@ -1,7 +1,10 @@
 package randtest
 
 import (
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/core/ghost"
@@ -71,6 +74,74 @@ func TestConcurrentCampaignVerifyCache(t *testing.T) {
 	if !seen {
 		t.Error("unlocked corruption raised no non-interference alarm")
 	}
+
+	vmTableCorruption(t, hv, rec, d)
+}
+
+// vmTableCorruption is the VM-table counterpart of the host corruption
+// step above: with no lock held it changes, in turn, a vCPU's saved
+// registers, its memcache, the VM's donated list and the reclaim set.
+// The next vms-lock acquisition must flag each change through the
+// incremental VM-table abstraction, which reuses a recorded entry
+// only when every field reads back unchanged.
+func vmTableCorruption(t *testing.T, hv *hyp.Hypervisor, rec *ghost.Recorder, d *proxy.Driver) {
+	t.Helper()
+	h, _, err := d.InitVM(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.InitVCPU(0, h, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Topup(0, h, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	rec.ResetFailures()
+	vm := hv.VMSnapshot(int(h - hyp.HandleOffset))
+	spare, err := d.AllocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	donated := unexportedField(vm, "donated")
+	for _, step := range []struct {
+		what    string
+		corrupt func()
+	}{
+		{"vcpu registers", func() { vm.VCPUs[0].Regs[7] ^= 1 }},
+		{"memcache", func() { vm.VCPUs[0].MC.Push(spare) }},
+		{"donated list", func() {
+			donated.Set(reflect.Append(donated, reflect.ValueOf(spare)))
+		}},
+		{"reclaim set", func() {
+			unexportedField(hv, "reclaimable").SetMapIndex(reflect.ValueOf(spare), reflect.ValueOf(true))
+		}},
+	} {
+		step.corrupt()
+		// init_vcpu of an initialized vCPU: -EEXIST, but it takes the
+		// vms lock.
+		if _, err := d.HVC(0, hyp.HCInitVCPU, uint64(h), 0); err != nil {
+			t.Fatal(err)
+		}
+		seen := false
+		for _, f := range rec.Failures() {
+			if f.Kind == ghost.FailCacheDivergence {
+				t.Errorf("%s: cache diverged instead of non-interference: %v", step.what, f)
+			}
+			seen = seen || f.Kind == ghost.FailNonInterference && strings.HasPrefix(f.Detail, "vm table changed")
+		}
+		if !seen {
+			t.Errorf("%s: unlocked change raised no vm-table non-interference alarm", step.what)
+		}
+		rec.ResetFailures()
+	}
+}
+
+// unexportedField makes the named unexported field of *ptr writable:
+// the test's stand-in for hypervisor code writing its own state
+// without the lock.
+func unexportedField(ptr any, name string) reflect.Value {
+	f := reflect.ValueOf(ptr).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
 // TestVerifyCacheAcrossRestores replays several generated traces on
