@@ -122,18 +122,23 @@ type vaRange struct {
 // re-interpreting only the descriptors that changed since the previous
 // call. The returned abstraction is a copy-on-write clone: the caller
 // may hold it indefinitely, and later cache updates will not mutate it.
+// The first splice after a hand-out copies the cached mapping once; the
+// others of the same call splice in place.
 func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPgtable, CacheOutcome) {
-	return c.interpret(m, root, nil)
-}
-
-// interpret is Interpret that, on a partial walk, also appends to
-// spliced (when non-nil) the input range of every run of descriptors
-// it re-interpreted: outside those ranges the returned mapping is the
-// one the previous call returned.
-func (c *PgtableCache) interpret(m *arch.Memory, root arch.PhysAddr, spliced *[]vaRange) (AbstractPgtable, CacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	outcome := c.update(m, root, nil)
+	return c.abs.Clone(), outcome
+}
 
+// update brings c.abs up to date with the table rooted at root,
+// re-interpreting only the descriptors that changed since the previous
+// call, and counts the outcome. On a partial walk it also appends to
+// spliced (when non-nil) the input range of every run of descriptors
+// it re-interpreted: outside those ranges c.abs.Mapping is what it was
+// before. c.abs.Footprint is replaced, never changed in place, so it
+// may be handed out without a copy. Caller holds c.mu.
+func (c *PgtableCache) update(m *arch.Memory, root arch.PhysAddr, spliced *[]vaRange) CacheOutcome {
 	dirty := c.dirty[:0]
 	outcome := CachePartial
 	if !c.valid || c.root != root {
@@ -153,7 +158,8 @@ func (c *PgtableCache) interpret(m *arch.Memory, root arch.PhysAddr, spliced *[]
 	}
 	c.dirty = dirty
 	if len(dirty) == 0 {
-		return c.hit(), CacheHit
+		c.hit()
+		return CacheHit
 	}
 
 	// Diff the dirty pages top-down, so a page's stored copy is still
@@ -227,23 +233,23 @@ func (c *PgtableCache) interpret(m *arch.Memory, root arch.PhysAddr, spliced *[]
 	case len(runs) == 0:
 		// Generations moved but every descriptor read back the same
 		// (a snapshot restore rewriting a frame with its old contents).
-		return c.hit(), CacheHit
+		c.hit()
+		return CacheHit
 	default:
 		c.stats.PartialWalks++
 		if !telemetry.Disabled() {
 			ghostCachePartial.Inc()
 		}
 	}
-	return c.abs.Clone(), outcome
+	return outcome
 }
 
-// hit counts and returns the stored abstraction. Caller holds c.mu.
-func (c *PgtableCache) hit() AbstractPgtable {
+// hit counts a hit. Caller holds c.mu.
+func (c *PgtableCache) hit() {
 	c.stats.Hits++
 	if !telemetry.Disabled() {
 		ghostCacheHits.Inc()
 	}
-	return c.abs.Clone()
 }
 
 // Invalidate empties the cache; the next Interpret is a full walk.
@@ -267,7 +273,10 @@ func (c *PgtableCache) Stats() CacheStats {
 // hit the derived Annot/Shared components and the legality verdict are
 // returned from store, so the hit path skips the maplet scan too; on a
 // partial walk only the input ranges the walk spliced are re-projected
-// and re-checked.
+// and re-checked. The full host interpretation never leaves the cache:
+// it is read under the page-table cache's own lock and only the
+// projection and the footprint are handed out, so the walk's splices
+// land in place instead of copying the host's largest mapping.
 type hostCache struct {
 	pgt PgtableCache
 
@@ -286,16 +295,19 @@ type hostCache struct {
 func (hc *hostCache) abstract(hv *hyp.Hypervisor) (Host, PageSet, error) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
+	hc.pgt.mu.Lock()
+	defer hc.pgt.mu.Unlock()
 	hc.spliced = hc.spliced[:0]
-	full, outcome := hc.pgt.interpret(hv.Mem, hv.HostPGTRoot(), &hc.spliced)
+	outcome := hc.pgt.update(hv.Mem, hv.HostPGTRoot(), &hc.spliced)
+	full := &hc.pgt.abs
 	switch {
 	case hc.valid && outcome == CacheHit:
 		// The stored violation is returned on hits too: the uncached
 		// path re-found an illegal mapping on every hook, and alarm
 		// cadence must not depend on whether the cache hit.
-	case hc.valid && outcome == CachePartial && hc.violation == nil && hc.rederive(hv, &full):
+	case hc.valid && outcome == CachePartial && hc.violation == nil && hc.rederive(hv, full):
 	default:
-		hc.host, hc.violation = deriveHost(hv, &full)
+		hc.host, hc.violation = deriveHost(hv, full)
 		hc.valid = true
 	}
 	return Host{Present: true, Annot: hc.host.Annot.Clone(), Shared: hc.host.Shared.Clone()},
@@ -310,7 +322,7 @@ func (hc *hostCache) abstract(hv *hyp.Hypervisor) (Host, PageSet, error) {
 // updated: the caller then re-derives it whole, so the alarm names the
 // same first violation the reference path reports.
 //
-// Caller holds hc.mu.
+// Caller holds hc.mu and hc.pgt.mu.
 func (hc *hostCache) rederive(hv *hyp.Hypervisor, full *AbstractPgtable) bool {
 	for _, r := range hc.spliced {
 		hc.sub = full.Mapping.appendRange(hc.sub[:0], r.va, r.nrPages)
@@ -397,7 +409,7 @@ func (vc *vmsCache) abstract(hv *hyp.Hypervisor) VMs {
 		}
 	}
 	reclaim := prev.Reclaim
-	if hv.NrReclaimable() != reclaim.Len() || !hv.ReclaimableAll(reclaim.Contains) {
+	if !reclaim.equalsAscending(hv.ReclaimablePFNs()) {
 		reclaim = abstractReclaim(hv)
 	} else if !copied {
 		return prev

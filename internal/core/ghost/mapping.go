@@ -14,6 +14,7 @@ package ghost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -143,9 +144,10 @@ func (m *Mapping) Clone() Mapping {
 }
 
 // own makes the receiver the sole owner of its backing array; every
-// mutator calls it before writing. Mutation through anything but the
-// exported methods below (or plain struct copies of an unflagged
-// Mapping) would defeat the scheme, so there are none.
+// mutator but SpliceRange (which copies as it splices) calls it before
+// writing. Mutators write an owned array in place, so a plain struct
+// copy of an unflagged Mapping would see its original change under it:
+// a Mapping handed to anyone who may keep it is always a Clone.
 func (m *Mapping) own() {
 	if m.cow {
 		m.maplets = append([]Maplet(nil), m.maplets...)
@@ -266,13 +268,18 @@ func (m Mapping) rangeEqual(va, nrPages uint64, repl []Maplet) bool {
 }
 
 // SpliceRange replaces [va, va+nrPages*4K) wholesale with repl, whose
-// maplets must be ascending and lie entirely within the range. It is
-// mapping_update for the specification and the incremental
-// abstraction's graft: the re-interpreted meaning of some descriptors
-// replaces the cached meaning of their input range. One pass builds
-// the result into one allocation, cutting the maplets that straddle
-// the range ends and coalescing at every joint, so the result is
-// bit-for-bit the mapping a full re-interpretation would have built.
+// maplets must be ascending, lie entirely within the range and not
+// alias the receiver. It is mapping_update for the specification and
+// the incremental abstraction's graft: the re-interpreted meaning of
+// some descriptors replaces the cached meaning of their input range.
+// The maplets that straddle the range ends are cut and every joint is
+// coalesced, so the result is bit-for-bit the mapping a full
+// re-interpretation would have built.
+//
+// A receiver that owns its maplet array is spliced in place: only the
+// maplets from the range on move, and nothing is allocated unless the
+// array must grow. A receiver shared copy-on-write is built into one
+// fresh array instead, which the receiver then owns.
 func (m *Mapping) SpliceRange(va uint64, nrPages uint64, repl []Maplet) {
 	if nrPages == 0 {
 		return
@@ -283,49 +290,81 @@ func (m *Mapping) SpliceRange(va uint64, nrPages uint64, repl []Maplet) {
 			panic(fmt.Sprintf("ghost: splice replacement %v outside [%#x,%#x) or out of order", ml, va, end))
 		}
 	}
-	old := m.maplets
-	// old[lo:hi] are the maplets overlapping the range.
-	lo := sort.Search(len(old), func(i int) bool { return old[i].end() > va })
+	ms := m.maplets
+	// ms[lo:hi] are the maplets overlapping the range.
+	lo := sort.Search(len(ms), func(i int) bool { return ms[i].end() > va })
 	hi := lo
-	for hi < len(old) && old[hi].VA < end {
+	for hi < len(ms) && ms[hi].VA < end {
 		hi++
 	}
 	if lo == hi && len(repl) == 0 {
 		return
 	}
-	// The two cut remainders add at most two; coalescing only removes.
-	out := make([]Maplet, lo, len(old)-(hi-lo)+len(repl)+2)
-	copy(out, old[:lo])
-	if lo < hi && old[lo].VA < va {
-		out = appendCoalesced(out, Maplet{VA: old[lo].VA, NrPages: (va - old[lo].VA) >> arch.PageShift,
-			Target: old[lo].Target})
+	// The new middle is the cut remainders around repl: k maplets in
+	// place of ms[lo:hi].
+	var head, tail Maplet
+	k := len(repl)
+	cutHead := lo < hi && ms[lo].VA < va
+	if cutHead {
+		head = Maplet{VA: ms[lo].VA, NrPages: (va - ms[lo].VA) >> arch.PageShift, Target: ms[lo].Target}
+		k++
 	}
-	for _, ml := range repl {
-		out = appendCoalesced(out, ml)
-	}
-	if lo < hi && old[hi-1].end() > end {
-		ml := old[hi-1]
+	cutTail := lo < hi && ms[hi-1].end() > end
+	if cutTail {
+		ml := ms[hi-1]
 		skip := (end - ml.VA) >> arch.PageShift
-		out = appendCoalesced(out, Maplet{VA: end, NrPages: ml.NrPages - skip, Target: ml.Target.at(skip)})
+		tail = Maplet{VA: end, NrPages: ml.NrPages - skip, Target: ml.Target.at(skip)}
+		k++
 	}
-	if hi < len(old) {
-		out = appendCoalesced(out, old[hi])
-		out = append(out, old[hi+1:]...)
+	n := len(ms) - (hi - lo) + k
+	if m.cow {
+		out := make([]Maplet, n)
+		copy(out, ms[:lo])
+		copy(out[lo+k:], ms[hi:])
+		ms = out
+		m.cow = false
+	} else {
+		old := len(ms)
+		if n > old {
+			ms = slices.Grow(ms, n-old)[:n]
+		}
+		copy(ms[lo+k:], ms[hi:old])
+		ms = ms[:n]
 	}
-	m.maplets = out
-	m.cow = false // out is freshly built, never shared
+	w := lo
+	if cutHead {
+		ms[w] = head
+		w++
+	}
+	w += copy(ms[w:], repl)
+	if cutTail {
+		ms[w] = tail
+	}
+	// Only the joints from the left neighbour to the right one can
+	// have become coalescible.
+	m.maplets = coalesceWindow(ms, max(lo-1, 0), min(lo+k+1, n))
 }
 
-// appendCoalesced appends ml to the ascending list out, merging it into
-// the last maplet when it continues it.
-func appendCoalesced(out []Maplet, ml Maplet) []Maplet {
-	if n := len(out); n > 0 {
-		if last := &out[n-1]; last.end() == ml.VA && last.Target.continues(last.NrPages, ml.Target) {
-			last.NrPages += ml.NrPages
-			return out
-		}
+// coalesceWindow merges continuing neighbours among ms[from:to] and
+// closes the gap it leaves by moving ms[to:] down. Outside the window
+// ms must already be coalesced.
+func coalesceWindow(ms []Maplet, from, to int) []Maplet {
+	if to-from < 2 {
+		return ms
 	}
-	return append(out, ml)
+	w := from
+	for r := from + 1; r < to; r++ {
+		if last := &ms[w]; last.end() == ms[r].VA && last.Target.continues(last.NrPages, ms[r].Target) {
+			last.NrPages += ms[r].NrPages
+			continue
+		}
+		w++
+		ms[w] = ms[r]
+	}
+	if w+1 == to {
+		return ms
+	}
+	return ms[:w+1+copy(ms[w+1:], ms[to:])]
 }
 
 // EqualMappings reports extensional equality. Because both sides are
@@ -333,6 +372,9 @@ func appendCoalesced(out []Maplet, ml Maplet) []Maplet {
 func EqualMappings(a, b Mapping) bool {
 	if len(a.maplets) != len(b.maplets) {
 		return false
+	}
+	if len(a.maplets) == 0 || &a.maplets[0] == &b.maplets[0] {
+		return true // one backing array: a clone compared with its original
 	}
 	for i := range a.maplets {
 		if a.maplets[i] != b.maplets[i] {

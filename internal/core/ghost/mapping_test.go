@@ -174,6 +174,27 @@ func TestSpliceRangeAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestSpliceRangeOwnedInPlace: on a mapping that owns its array and
+// has room, mapping_update cutting a maplet in three and coalescing it
+// back splices in place, allocating nothing.
+func TestSpliceRangeOwnedInPlace(t *testing.T) {
+	var m Mapping
+	m.Extend(page(0), 8, Mapped(arch.PhysAddr(page(100)), rwxN))
+	m.Extend(page(20), 4, Annotated(1))
+	want := append([]Maplet(nil), m.Maplets()...)
+	m.Grow(2)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Set(page(3), 1, Annotated(2))
+		m.Set(page(3), 1, Mapped(arch.PhysAddr(page(103)), rwxN))
+	})
+	if allocs != 0 {
+		t.Errorf("Set on an owned mapping allocated %v times, want 0", allocs)
+	}
+	if got := m.Maplets(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("after the round trip: %v, want %v", m, Mapping{maplets: want})
+	}
+}
+
 // Property: an arbitrary interleaving of Set/Remove/SpliceRange leaves
 // the Mapping extensionally equal to a reference map, and always
 // canonical (sorted, coalesced, non-overlapping).

@@ -122,6 +122,26 @@ func (s *PageSet) Remove(pfn arch.PFN) {
 	s.runs = append(s.runs[:i], append(repl, s.runs[i+1:]...)...)
 }
 
+// equalsAscending reports whether the set holds exactly the frames of
+// pfns, which a current set lists ascending and without duplicates. It
+// reads every element of pfns, in one merge against the runs, so a
+// list changed anywhere (reordered or duplicated too) compares unequal.
+func (s PageSet) equalsAscending(pfns []arch.PFN) bool {
+	i := 0
+	for _, r := range s.runs {
+		if uint64(len(pfns)-i) < r.N {
+			return false
+		}
+		for k := range r.N {
+			if pfns[i] != r.Start+arch.PFN(k) {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(pfns)
+}
+
 // Clone returns an independent copy.
 func (s PageSet) Clone() PageSet {
 	if len(s.runs) == 0 {

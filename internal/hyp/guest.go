@@ -52,13 +52,14 @@ func (a memcacheAllocator) FreeTablePage(pfn arch.PFN) {
 }
 
 // collectAllocator is the teardown allocator: it cannot allocate, and
-// everything freed into it lands in the reclaim set.
+// everything freed into it is appended to the frames bound for the
+// reclaim set.
 type collectAllocator struct {
-	set map[arch.PFN]bool
+	pfns *[]arch.PFN
 }
 
 func (c collectAllocator) AllocTablePage() (arch.PFN, bool) { return 0, false }
-func (c collectAllocator) FreeTablePage(pfn arch.PFN)       { c.set[pfn] = true }
+func (c collectAllocator) FreeTablePage(pfn arch.PFN)       { *c.pfns = append(*c.pfns, pfn) }
 
 // guestMappedFrames returns the physical frames the guest stage 2
 // currently maps — the guest-owned memory that must be reclaimable

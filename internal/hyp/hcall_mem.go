@@ -1,6 +1,8 @@
 package hyp
 
 import (
+	"slices"
+
 	"ghostspec/internal/arch"
 	"ghostspec/internal/faults"
 )
@@ -205,7 +207,8 @@ func (hv *Hypervisor) hostReclaimPage(cpu int, pfn arch.PFN) Errno {
 		hv.unlockVMs(cpu)
 	}()
 
-	if !hv.reclaimable[pfn] {
+	i, ok := slices.BinarySearch(hv.reclaimable, pfn)
+	if !ok {
 		return EPERM
 	}
 	hv.clearPage(phys) // scrub guest data
@@ -214,7 +217,7 @@ func (hv *Hypervisor) hostReclaimPage(cpu int, pfn arch.PFN) Errno {
 			return ret
 		}
 	}
-	delete(hv.reclaimable, pfn)
+	hv.reclaimable = slices.Delete(hv.reclaimable, i, i+1)
 	return OK
 }
 

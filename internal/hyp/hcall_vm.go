@@ -144,12 +144,9 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 
 	hv.lockGuest(cpu, vm)
 	// Guest-owned data pages: everything the guest stage 2 maps.
-	for _, pfn := range guestMappedFrames(vm) {
-		hv.reclaimable[pfn] = true
-	}
+	freed := guestMappedFrames(vm)
 	// The table pages themselves (donation- and memcache-sourced).
-	collect := collectAllocator{set: hv.reclaimable}
-	vm.PGT.Alloc = collect
+	vm.PGT.Alloc = collectAllocator{pfns: &freed}
 	vm.PGT.Destroy()
 	vm.PGT = nil
 	// Destroy tears the stage 2 down without per-entry unmaps, so no
@@ -160,13 +157,10 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 	hv.unlockGuest(cpu, vm)
 
 	for _, vcpu := range vm.VCPUs {
-		for _, pfn := range vcpu.MC.Drain() {
-			hv.reclaimable[pfn] = true
-		}
+		freed = append(freed, vcpu.MC.Drain()...)
 	}
-	for _, pfn := range vm.donated {
-		hv.reclaimable[pfn] = true
-	}
+	freed = append(freed, vm.donated...)
+	hv.addReclaimable(freed)
 	vm.donated = nil
 	vm.State = VMTeardown
 	hv.vms[handle.slot(MaxVMs)] = nil

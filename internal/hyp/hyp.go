@@ -152,9 +152,10 @@ type Hypervisor struct {
 	//ghost:guards lock=vms
 	vms [MaxVMs]*VM
 	// reclaimable is the set of frames from torn-down VMs awaiting
-	// host_reclaim_page; protected by vmsLock.
+	// host_reclaim_page, ascending and without duplicates; protected
+	// by vmsLock.
 	//ghost:guards lock=vms
-	reclaimable map[arch.PFN]bool
+	reclaimable []arch.PFN
 
 	percpu []*PerCPU
 
@@ -196,19 +197,18 @@ func New(cfg Config) (*Hypervisor, error) {
 	}
 
 	hv := &Hypervisor{
-		Mem:         m,
-		CPUs:        arch.NewCPUs(cfg.NrCPUs),
-		Inj:         cfg.Inj,
-		HypPool:     mem.NewPool("hyp", arch.PhysToPFN(carveStart), cfg.HypPoolPages),
-		hostLock:    spinlock.NewRanked("host", LockRankHost, nil),
-		hypLock:     spinlock.NewRanked("pkvm", LockRankHyp, nil),
-		vmsLock:     spinlock.NewRanked("vms", LockRankVMTable, nil),
-		reclaimable: make(map[arch.PFN]bool),
-		percpu:      make([]*PerCPU, cfg.NrCPUs),
-		instr:       nopInstr{},
-		flight:      telemetry.NewFlightRecorder(cfg.NrCPUs, telemetry.DefaultFlightDepth),
-		tracer:      cfg.Tracer,
-		traceLane:   cfg.TraceLane,
+		Mem:       m,
+		CPUs:      arch.NewCPUs(cfg.NrCPUs),
+		Inj:       cfg.Inj,
+		HypPool:   mem.NewPool("hyp", arch.PhysToPFN(carveStart), cfg.HypPoolPages),
+		hostLock:  spinlock.NewRanked("host", LockRankHost, nil),
+		hypLock:   spinlock.NewRanked("pkvm", LockRankHyp, nil),
+		vmsLock:   spinlock.NewRanked("vms", LockRankVMTable, nil),
+		percpu:    make([]*PerCPU, cfg.NrCPUs),
+		instr:     nopInstr{},
+		flight:    telemetry.NewFlightRecorder(cfg.NrCPUs, telemetry.DefaultFlightDepth),
+		tracer:    cfg.Tracer,
+		traceLane: cfg.TraceLane,
 	}
 	for i := range hv.percpu {
 		hv.percpu[i] = &PerCPU{LoadedVCPU: -1}
@@ -391,40 +391,26 @@ func (hv *Hypervisor) VMSnapshot(slot int) *VM {
 	return hv.vms[slot]
 }
 
-// ReclaimablePFNs reports the reclaim set as a sorted slice; the
-// ghost abstraction of the VM table folds it into a run-encoded page
-// set, and ascending order keeps that fold allocation-free. Caller
-// must be under the vms lock (see VMSnapshot).
+// ReclaimablePFNs returns the reclaim set, ascending. The slice is the
+// hypervisor's own, read without a copy: callers must be under the vms
+// lock (see VMSnapshot), must not modify it and must not keep it past
+// the lock's release. The ghost abstraction of the VM table folds it
+// into a run-encoded page set, or confirms a recorded set against it,
+// in one pass.
 //
 //ghost:requires lock=vms
 func (hv *Hypervisor) ReclaimablePFNs() []arch.PFN {
-	out := make([]arch.PFN, 0, len(hv.reclaimable))
-	for k := range hv.reclaimable {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
+	n := len(hv.reclaimable)
+	return hv.reclaimable[:n:n]
 }
 
-// NrReclaimable reports the size of the reclaim set. Caller must be
-// under the vms lock (see VMSnapshot).
+// addReclaimable merges frames, in any order, into the reclaim set.
 //
 //ghost:requires lock=vms
-func (hv *Hypervisor) NrReclaimable() int { return len(hv.reclaimable) }
-
-// ReclaimableAll reports whether every frame of the reclaim set
-// satisfies in, without building the sorted copy ReclaimablePFNs
-// returns. With NrReclaimable it confirms a recorded reclaim set is
-// still current. Caller must be under the vms lock (see VMSnapshot).
-//
-//ghost:requires lock=vms
-func (hv *Hypervisor) ReclaimableAll(in func(arch.PFN) bool) bool {
-	for pfn := range hv.reclaimable {
-		if !in(pfn) {
-			return false
-		}
-	}
-	return true
+func (hv *Hypervisor) addReclaimable(pfns []arch.PFN) {
+	hv.reclaimable = append(hv.reclaimable, pfns...)
+	slices.Sort(hv.reclaimable)
+	hv.reclaimable = slices.Compact(hv.reclaimable)
 }
 
 // PerCPUState exposes the physical CPU's hypervisor-local state to the

@@ -1,7 +1,7 @@
 package hyp
 
 import (
-	"sort"
+	"slices"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/mem"
@@ -231,11 +231,7 @@ func (hv *Hypervisor) captureState() *sysState {
 		}
 		st.vms[i] = vs
 	}
-	st.reclaim = make([]arch.PFN, 0, len(hv.reclaimable))
-	for pfn := range hv.reclaimable {
-		st.reclaim = append(st.reclaim, pfn)
-	}
-	sort.Slice(st.reclaim, func(i, j int) bool { return st.reclaim[i] < st.reclaim[j] })
+	st.reclaim = slices.Clone(hv.reclaimable)
 	return st
 }
 
@@ -293,9 +289,6 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 		}
 		hv.vms[i] = vm
 	}
-	clear(hv.reclaimable)
-	for _, pfn := range st.reclaim {
-		hv.reclaimable[pfn] = true
-	}
+	hv.reclaimable = append(hv.reclaimable[:0], st.reclaim...)
 	hv.HypPool.Restore(st.hypPool)
 }

@@ -218,7 +218,8 @@ const (
 
 // VisitCtx describes one visited entry. The callback may replace the
 // descriptor with Replace, as KVM's walker callbacks install or adjust
-// entries in place.
+// entries in place. The walker reuses the context for the next entry,
+// so a callback must not keep it past its return.
 type VisitCtx struct {
 	// IA is the input address of the start of this entry's coverage,
 	// clamped to the walked range.
@@ -280,13 +281,17 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 }
 
 func (t *Table) walkLevel(table arch.PhysAddr, level int, ia, end uint64, v *Visitor) error {
+	// One context per level, reset for each entry: no visitor keeps
+	// ctx past its call, and a table entry's post-visit still finds its
+	// own context because the descent below uses the next frame's.
+	ctx := new(VisitCtx)
 	for ia < end {
 		idx := arch.IndexAt(ia, level)
 		base := entryBase(ia, level)
 		entryEnd := base + arch.LevelSize(level)
 		chunkEnd := min(end, entryEnd)
 		pte := t.Mem.ReadPTE(table, idx)
-		ctx := &VisitCtx{
+		*ctx = VisitCtx{
 			IA:      ia,
 			Level:   level,
 			PTE:     pte,

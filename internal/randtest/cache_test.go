@@ -113,7 +113,8 @@ func vmTableCorruption(t *testing.T, hv *hyp.Hypervisor, rec *ghost.Recorder, d 
 			donated.Set(reflect.Append(donated, reflect.ValueOf(spare)))
 		}},
 		{"reclaim set", func() {
-			unexportedField(hv, "reclaimable").SetMapIndex(reflect.ValueOf(spare), reflect.ValueOf(true))
+			reclaim := unexportedField(hv, "reclaimable")
+			reclaim.Set(reflect.Append(reclaim, reflect.ValueOf(spare)))
 		}},
 	} {
 		step.corrupt()

@@ -14,6 +14,7 @@
 package randtest
 
 import (
+	"slices"
 	"sort"
 
 	"ghostspec/internal/arch"
@@ -31,6 +32,7 @@ const (
 	pageGuestOwned
 	pageMemcache
 	pageReclaimable
+	nPageStates
 )
 
 // vcpuModel tracks one vCPU's lifecycle position.
@@ -52,8 +54,12 @@ type vmModel struct {
 
 // model is the generator's abstraction of the system state.
 type model struct {
+	// pages is every page's state; it is written only through setPage,
+	// which keeps byState in step.
 	pages map[arch.PFN]pageState
-	vms   map[hyp.Handle]*vmModel
+	// byState lists the pages in each state, ascending.
+	byState [nPageStates][]arch.PFN
+	vms     map[hyp.Handle]*vmModel
 	// loadedVM[cpu] is the VM handle loaded on each physical CPU
 	// (0 = none).
 	loadedVM   []hyp.Handle
@@ -76,19 +82,28 @@ func newModel(nrCPUs int) *model {
 	return m
 }
 
+// setPage records pfn's new state, moving it between the per-state
+// lists.
+func (m *model) setPage(pfn arch.PFN, st pageState) {
+	if old, known := m.pages[pfn]; known {
+		if old == st {
+			return
+		}
+		l := m.byState[old]
+		i, _ := slices.BinarySearch(l, pfn)
+		m.byState[old] = slices.Delete(l, i, i+1)
+	}
+	m.pages[pfn] = st
+	l := m.byState[st]
+	i, _ := slices.BinarySearch(l, pfn)
+	m.byState[st] = slices.Insert(l, i, pfn)
+}
+
 // pagesIn returns the model's pages currently in the given state, in
 // ascending order — determinism of the generator under a fixed seed
-// requires stable iteration everywhere.
-func (m *model) pagesIn(st pageState) []arch.PFN {
-	var out []arch.PFN
-	for pfn, s := range m.pages {
-		if s == st {
-			out = append(out, pfn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// requires stable iteration everywhere. The slice is the model's own:
+// the caller reads it before the next setPage and never modifies it.
+func (m *model) pagesIn(st pageState) []arch.PFN { return m.byState[st] }
 
 // anyVM returns the handles of live VMs, ascending.
 func (m *model) anyVM() []hyp.Handle {

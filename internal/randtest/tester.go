@@ -296,7 +296,7 @@ func (t *Tester) allocContiguous(nr uint64) ([]arch.PFN, bool) {
 		}
 		if len(run) > 0 && pfn != run[len(run)-1]+1 {
 			for _, p := range run {
-				t.m.pages[p] = pageHostOwned // keep, just not contiguous
+				t.m.setPage(p, pageHostOwned) // keep, just not contiguous
 			}
 			run = run[:0]
 		}
@@ -310,7 +310,7 @@ func (t *Tester) opAllocPage() bool {
 	if err != nil {
 		return false
 	}
-	t.m.pages[pfn] = pageHostOwned
+	t.m.setPage(pfn, pageHostOwned)
 	return true
 }
 
@@ -342,7 +342,7 @@ func (t *Tester) opShare() bool {
 	err := t.D.ShareHyp(cpu, pfn)
 	t.count(hyp.HCHostShareHyp, err)
 	if err == nil {
-		t.m.pages[pfn] = pageSharedHyp
+		t.m.setPage(pfn, pageSharedHyp)
 	}
 	return true
 }
@@ -361,11 +361,11 @@ func (t *Tester) opShareRange() bool {
 	t.count(hyp.HCHostShareHypRange, err)
 	if err == nil {
 		for _, p := range run {
-			t.m.pages[p] = pageSharedHyp
+			t.m.setPage(p, pageSharedHyp)
 		}
 	} else {
 		for _, p := range run {
-			t.m.pages[p] = pageHostOwned
+			t.m.setPage(p, pageHostOwned)
 		}
 	}
 	return true
@@ -381,7 +381,7 @@ func (t *Tester) opUnshare() bool {
 	err := t.D.UnshareHyp(cpu, pfn)
 	t.count(hyp.HCHostUnshareHyp, err)
 	if err == nil {
-		t.m.pages[pfn] = pageHostOwned
+		t.m.setPage(pfn, pageHostOwned)
 	}
 	return true
 }
@@ -396,7 +396,7 @@ func (t *Tester) opDonate() bool {
 	err = t.D.DonateHyp(cpu, pfn, 1)
 	t.count(hyp.HCHostDonateHyp, err)
 	if err == nil {
-		t.m.pages[pfn] = pageDonatedHyp
+		t.m.setPage(pfn, pageDonatedHyp)
 	}
 	return true
 }
@@ -421,7 +421,7 @@ func (t *Tester) opInitVM() bool {
 	}
 	t.m.vms[h] = vm
 	for _, pfn := range donated {
-		t.m.pages[pfn] = pageDonatedHyp
+		t.m.setPage(pfn, pageDonatedHyp)
 	}
 	return true
 }
@@ -461,7 +461,7 @@ func (t *Tester) opTopup() bool {
 	if err == nil {
 		vm.vcpus[idx].topups += len(pfns)
 		for _, pfn := range pfns {
-			t.m.pages[pfn] = pageMemcache
+			t.m.setPage(pfn, pageMemcache)
 		}
 	}
 	return true
@@ -626,7 +626,7 @@ func (t *Tester) opMapGuest() bool {
 	t.count(hyp.HCHostMapGuest, err)
 	if err == nil {
 		vm.mapped[gfn] = pfn
-		t.m.pages[pfn] = pageGuestOwned
+		t.m.setPage(pfn, pageGuestOwned)
 		vc.topups -= 3 // approximation of table-page consumption
 		if vc.topups < 0 {
 			vc.topups = 0
@@ -659,7 +659,7 @@ func (t *Tester) opTeardown() bool {
 		// left to the error probes).
 		for _, gfn := range sortedKeys(vm.mapped) {
 			pfn := vm.mapped[gfn]
-			t.m.pages[pfn] = pageReclaimable
+			t.m.setPage(pfn, pageReclaimable)
 			t.m.reclaim[pfn] = true
 		}
 	}
@@ -677,7 +677,7 @@ func (t *Tester) opReclaim() bool {
 	t.count(hyp.HCHostReclaimPage, err)
 	delete(t.m.reclaim, pfn)
 	if err == nil {
-		t.m.pages[pfn] = pageHostOwned
+		t.m.setPage(pfn, pageHostOwned)
 	}
 	return true
 }
@@ -845,9 +845,9 @@ func (t *Tester) opBugProbe() bool {
 		t.count(hyp.HCHostShareHypRange, err)
 		// Phased semantics: pages before the failing phase stay
 		// shared regardless of the reported result.
-		t.m.pages[run[0]] = pageSharedHyp
-		t.m.pages[run[1]] = pageSharedHyp
-		t.m.pages[run[2]] = pageHostOwned
+		t.m.setPage(run[0], pageSharedHyp)
+		t.m.setPage(run[1], pageSharedHyp)
+		t.m.setPage(run[2], pageHostOwned)
 	case 6: // stale TLB after unshare (skipped-TLBI bug's trigger)
 		pfn, ok := pickRand(t.rng, t.m.pagesIn(pageHostOwned))
 		if !ok {
@@ -868,14 +868,14 @@ func (t *Tester) opBugProbe() bool {
 			return true
 		}
 		t.count(hyp.HCHostShareHyp, nil)
-		t.m.pages[pfn] = pageSharedHyp
+		t.m.setPage(pfn, pageSharedHyp)
 		t.record(Op{Kind: OpTouch, CPU: cpu, PFN: pfn, Write: true})
 		t.D.Access(cpu, arch.IPA(pfn.Phys()), true)
 		t.record(Op{Kind: OpUnshare, CPU: cpu, PFN: pfn})
 		err := t.D.UnshareHyp(cpu, pfn)
 		t.count(hyp.HCHostUnshareHyp, err)
 		if err == nil {
-			t.m.pages[pfn] = pageHostOwned
+			t.m.setPage(pfn, pageHostOwned)
 		}
 	}
 	return true

@@ -110,10 +110,10 @@ func TestRandomTesterFindsSpecBug(t *testing.T) {
 
 func TestModelCrashPrediction(t *testing.T) {
 	m := newModel(2)
-	m.pages[100] = pageHostOwned
-	m.pages[101] = pageDonatedHyp
-	m.pages[102] = pageGuestOwned
-	m.pages[103] = pageSharedHyp
+	m.setPage(100, pageHostOwned)
+	m.setPage(101, pageDonatedHyp)
+	m.setPage(102, pageGuestOwned)
+	m.setPage(103, pageSharedHyp)
 	if m.wouldCrashHost(100) || m.wouldCrashHost(103) {
 		t.Error("host-accessible pages predicted to crash")
 	}
