@@ -7,7 +7,6 @@
 //	benchreport -telemetry snap.json   # summarise a pkvm-sim -metrics dump
 //	benchreport -ghost-bench out.json  # benchmark smoke run -> JSON artifact
 //	benchreport -campaign out.json     # campaign engine serial vs 8 workers -> JSON artifact
-//	benchreport -tlb out.json          # software TLB vs full walks -> JSON artifact
 //	benchreport -profile out.json      # traced campaign -> per-exec phase attribution + overhead gates
 package main
 
@@ -37,7 +36,6 @@ func main() {
 	ghostBench := flag.String("ghost-bench", "", "run the ghost benchmark smoke set and write results to this JSON file")
 	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without) and write results to this JSON file; fails on speedup-floor or conformance regressions")
 	campaignExecs := flag.Int64("campaign-execs", 256, "executions per campaign benchmark leg")
-	tlbBench := flag.String("tlb", "", "benchmark the software TLB (hit path vs full walks) and write results to this JSON file")
 	profile := flag.String("profile", "", "run a traced campaign, write the per-exec phase-attribution profile to this JSON file, and enforce the attribution/overhead gates")
 	profileTrace := flag.String("profile-trace", "", "with -profile: also write the campaign's span dump as Chrome trace-event JSON to this file")
 	flag.Parse()
@@ -45,14 +43,6 @@ func main() {
 	if *profile != "" {
 		if err := runProfile(*profile, *profileTrace); err != nil {
 			fmt.Fprintln(os.Stderr, "profile:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tlbBench != "" {
-		if err := runTLBBench(*tlbBench); err != nil {
-			fmt.Fprintln(os.Stderr, "tlb-bench:", err)
 			os.Exit(1)
 		}
 		return

@@ -10,10 +10,8 @@ import (
 	"ghostspec/internal/telemetry/trace"
 )
 
-// Span names for the TLB maintenance paths: fills (miss-path walks
-// publishing a translation) and invalidation sweeps. Both run under
-// shard mutexes, so on a timeline they explain where translation time
-// goes when the cache churns.
+// Span names for the TLB maintenance paths: miss-path fills and
+// invalidation sweeps, both under the TLB mutex.
 var (
 	spanTLBFill       = trace.NewName("tlb.fill")
 	spanTLBInvalidate = trace.NewName("tlb.invalidate")
@@ -21,7 +19,7 @@ var (
 
 // This file is the software TLB: a model of the hardware translation
 // caches whose maintenance pKVM is responsible for. Successful walks
-// are cached keyed by (root, stage, VMID, IA page) and served without
+// are cached keyed by (VMID, root, stage, IA page) and served without
 // re-walking — deliberately including after the tables changed, because
 // that is what hardware does: a translation stays live until a TLBI
 // covering it is issued. Forgetting that TLBI (the break-before-make
@@ -30,30 +28,18 @@ var (
 // (Recorder.FailStaleTLB) instead of the bug staying invisible in a
 // walk-always model.
 //
-// Entries are immutable once published: each slot is an atomic pointer,
-// so the translation hot path (Walk hits) is lock-free, while the shard
-// mutex serializes the writers — fills, invalidations and coherence
-// checks. A translation racing an invalidation may still be served from
-// the pointer it loaded first; the architecture permits exactly that
-// (the TLBI has not completed), and once the invalidation's store is
-// done no later lookup can reach the entry.
+// The model is plain on purpose: each VMID's translations in fill
+// order with a page index, under one mutex. A fill walks the tables
+// while holding it, so fills and TLBIs are totally ordered. A mutator
+// orders its writes as store < TLBI, so a fill before the TLBI is swept
+// by it and a fill after it reads the new tables: stale entries exist
+// if and only if a required TLBI was never issued.
 //
-// What keeps the cache itself sound — as opposed to the system under
-// test — is the per-frame write-generation protocol against
-// arch.Memory (the memory model's counters, bumped after every store):
-//
-//   - The miss path records, for every table page it reads, the page's
-//     generation loaded BEFORE the descriptor read.
-//   - The fill publishes under the shard mutex only after re-checking
-//     every recorded generation.
-//   - Invalidations scan under the same shard mutexes.
-//
-// A mutator orders its writes as store < generation bump < TLBI. If a
-// fill's publish precedes the TLBI's shard scan, the scan removes the
-// entry; if the scan precedes the publish, the mutex ordering makes the
-// generation bump visible to the revalidation, which aborts the fill.
-// Either way no entry that predates a TLBI survives it — stale entries
-// exist if and only if a required TLBI was never issued.
+// Each entry records the write generation (arch.Memory's counters,
+// bumped after every store) of every table page its walk read. While
+// they are unchanged the walk provably still gives the same result, so
+// CheckCoherence and InvalidateStale skip those entries and LookupLeaf
+// may serve them to software reads.
 
 // VMID tags a translation regime: which (virtual) machine's tables a
 // cached walk came from. Mirrors the VMID field hardware tags stage 2
@@ -62,56 +48,43 @@ var (
 type VMID uint16
 
 const (
-	tlbShardBits  = 3
-	tlbShardCount = 1 << tlbShardBits // shards, each with its own writer mutex
-	tlbShardSlots = 128               // direct-mapped sets per shard
-	tlbMaxDeps    = LastLevel - StartLevel + 1
+	tlbMaxDeps = LastLevel - StartLevel + 1
+	// tlbCapacity bounds each VMID's entries. A fill into a full set
+	// first evicts the oldest quarter, so what is evicted depends only
+	// on the sequence of fills and TLBIs.
+	tlbCapacity = 512
 )
 
 // TLB traffic. Hits and misses count hardware-path translations
 // (TLB.Walk); lookup hits are the verified software-path hits serving
-// pgtable.GetLeaf; fill aborts are walks whose tables changed before
-// the result could be published (the revalidation protocol above).
+// pgtable.GetLeaf.
 var (
 	telTLBHits        = telemetry.NewCounter("tlb_hits_total")
 	telTLBMisses      = telemetry.NewCounter("tlb_misses_total")
 	telTLBInvalidates = telemetry.NewCounter("tlb_invalidations_total")
 	telTLBLookupHits  = telemetry.NewCounter("tlb_lookup_hits_total")
-	telTLBFillAborts  = telemetry.NewCounter("tlb_fill_aborts_total")
 )
 
+// tlbKey names one cached translation within a VMID's set. A set
+// holds one entry per page: a fill under another root or stage
+// replaces it.
 type tlbKey struct {
 	root  PhysAddr
 	page  uint64 // ia >> PageShift
-	vmid  VMID
 	stage Stage
 }
 
-func (k tlbKey) hash() uint64 {
-	h := uint64(k.root)>>PageShift ^ k.page ^ uint64(k.vmid)<<40 ^ uint64(k.stage)<<56
-	// SplitMix64 finalizer: decorrelates the low bits used for shard
-	// selection from the structured key fields.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // tlbDep is one table page the cached walk read: the page's generation
-// cell and the value it held before the read. While the generation is
-// unchanged the page is byte-identical to what the walk saw.
+// cell and the value it held before the read.
 type tlbDep struct {
 	ref *atomic.Uint64
 	gen uint64
 }
 
-// tlbEntry is one cached translation. Immutable after publication:
-// updates replace the whole entry through the slot's atomic pointer.
+// tlbEntry is one cached translation.
 type tlbEntry struct {
 	key   tlbKey
-	pte   PTE // the terminal valid leaf descriptor
+	pte   PTE // the terminal descriptor; valid leaf once cached
 	level int
 	cpu   int // CPU whose walk filled the entry (diagnostics)
 	deps  [tlbMaxDeps]tlbDep
@@ -119,8 +92,7 @@ type tlbEntry struct {
 }
 
 // depsFresh reports whether every table page the cached walk read is
-// still unchanged — in which case a fresh walk provably returns the
-// same descriptor.
+// still unchanged.
 func (e *tlbEntry) depsFresh() bool {
 	for i := 0; i < e.ndeps; i++ {
 		if e.deps[i].ref.Load() != e.deps[i].gen {
@@ -130,34 +102,56 @@ func (e *tlbEntry) depsFresh() bool {
 	return true
 }
 
-type tlbShard struct {
-	mu    sync.Mutex // serializes writers; the read path is lock-free
-	live  int        // occupied slots, maintained under mu: sweeps skip empty shards
-	slots [tlbShardSlots]atomic.Pointer[tlbEntry]
+// oa is the output address the entry translates its page to.
+func (e *tlbEntry) oa() PhysAddr {
+	return e.pte.OutputAddr(e.level) + PhysAddr((e.key.page<<PageShift)&(LevelSize(e.level)-1))
 }
 
-// set publishes e (or nil) into slot i, keeping the shard's live count.
-// Caller holds sh.mu.
-func (sh *tlbShard) set(i int, e *tlbEntry) {
-	old := sh.slots[i].Load()
-	switch {
-	case old == nil && e != nil:
-		sh.live++
-	case old != nil && e == nil:
-		sh.live--
+// overlaps reports whether the leaf e caches covers any address in
+// [ia, end). An entry cached from a block leaf matches any address the
+// block covers, not just the page that filled it.
+func (e *tlbEntry) overlaps(ia, end uint64) bool {
+	size := LevelSize(e.level)
+	base := (e.key.page << PageShift) &^ (size - 1)
+	return base < end && ia < base+size
+}
+
+// tlbSet is one VMID's translations in fill order, with an index from
+// page to position.
+type tlbSet struct {
+	vmid    VMID
+	entries []tlbEntry
+	index   map[uint64]int
+}
+
+// filter keeps, in order, the entries keep accepts; keep may update an
+// entry in place before accepting it.
+func (s *tlbSet) filter(keep func(*tlbEntry) bool) {
+	w := 0
+	for r := range s.entries {
+		e := &s.entries[r]
+		if !keep(e) {
+			delete(s.index, e.key.page)
+			continue
+		}
+		if w != r {
+			s.entries[w] = *e
+			s.index[e.key.page] = w
+		}
+		w++
 	}
-	sh.slots[i].Store(e)
+	clear(s.entries[w:]) // drop the generation pointers
+	s.entries = s.entries[:w]
 }
 
 // TLB is the software translation cache. One instance serves all CPUs
 // of a system: entries record their filling CPU, and every modelled
-// invalidation is the broadcast (inner-shareable) form, which is the
-// only kind this hypervisor issues — so a single coherence domain with
-// hash-distributed shard mutexes models per-CPU TLBs plus broadcast
-// maintenance without a per-CPU search on the software lookup path.
+// invalidation is the broadcast (inner-shareable) form, the only kind
+// this hypervisor issues.
 type TLB struct {
-	mem    *Memory
-	shards [tlbShardCount]tlbShard
+	mem  *Memory
+	mu   sync.Mutex
+	sets []*tlbSet // in order of first use
 
 	// tracer, when attached, receives fill and invalidation spans on
 	// lane; see SetTracer.
@@ -166,99 +160,111 @@ type TLB struct {
 }
 
 // NewTLB builds a TLB over the given memory. A nil *TLB is a valid
-// disabled cache: lookups miss and maintenance is a no-op, so callers
-// thread one pointer regardless of configuration.
+// empty cache for the software paths: lookups miss and maintenance is
+// a no-op, so tables built without a system need no TLB.
 func NewTLB(m *Memory) *TLB {
 	return &TLB{mem: m}
 }
 
 // SetTracer attaches a span tracer covering fills and invalidations.
-// Install once at boot; a nil receiver or tracer stays untraced.
+// Install once at boot; a nil tracer stays untraced.
 func (t *TLB) SetTracer(tr *trace.Tracer, lane int) {
-	if t == nil {
-		return
-	}
 	t.tracer, t.lane = tr, lane
 }
 
-func (t *TLB) locate(key tlbKey) (*tlbShard, int) {
-	// The set index comes straight from the page bits, so consecutive
-	// pages occupy consecutive sets — hardware TLBs are VA-indexed the
-	// same way, and it keeps a small working set free of conflict
-	// evictions. The shard (= writer lock) choice takes the mixed hash
-	// so the other key fields still spread contention.
-	return &t.shards[key.hash()&(tlbShardCount-1)], int(key.page % tlbShardSlots)
+// find returns vmid's entries, nil before its first fill. A system
+// has a handful of VMIDs, so a scan beats hashing. Caller holds t.mu.
+func (t *TLB) find(vmid VMID) *tlbSet {
+	for _, s := range t.sets {
+		if s.vmid == vmid {
+			return s
+		}
+	}
+	return nil
+}
+
+// lookup returns the position of key's entry in s, if cached. Caller
+// holds t.mu.
+func (s *tlbSet) lookup(key tlbKey) (int, bool) {
+	if s == nil {
+		return 0, false
+	}
+	i, ok := s.index[key.page]
+	return i, ok && s.entries[i].key == key
 }
 
 // Walk is the hardware translation path: consult the cache, walk and
 // fill on a miss. A hit is served without looking at the tables — the
-// architectural behaviour that makes a skipped TLBI observable. The
-// fill protocol above guarantees hits are stale only when maintenance
-// was actually missing, never because of a fill/invalidate race.
+// architectural behaviour that makes a skipped TLBI observable.
 func (t *TLB) Walk(cpu int, root PhysAddr, stage Stage, vmid VMID, ia uint64, acc Access) (WalkResult, *Fault) {
-	if t == nil {
-		panic("arch: Walk on a nil TLB (disabled systems walk directly)")
-	}
 	if !CanonicalIA(ia) {
 		return WalkResult{}, &Fault{Kind: FaultAddressSize, Level: StartLevel, Addr: ia}
 	}
-	key := tlbKey{root: root, page: ia >> PageShift, vmid: vmid, stage: stage}
-	sh, slot := t.locate(key)
-	if e := sh.slots[slot].Load(); e != nil && e.key == key {
+	key := tlbKey{root: root, page: ia >> PageShift, stage: stage}
+	t.mu.Lock()
+	s := t.find(vmid)
+	if i, ok := s.lookup(key); ok {
+		pte, level := s.entries[i].pte, s.entries[i].level
+		t.mu.Unlock()
 		if !telemetry.Disabled() {
 			telTLBHits.Inc()
 		}
-		return leafResult(e.pte, e.level, ia, acc)
+		return leafResult(pte, level, ia, acc)
 	}
+	pte, level := t.fill(cpu, vmid, s, key)
+	t.mu.Unlock()
 	if !telemetry.Disabled() {
 		telTLBMisses.Inc()
-	}
-
-	pte, level, deps, ndeps := t.walkLeafDeps(root, ia)
-	if k := pte.Kind(level); k == EKBlock || k == EKPage {
-		// Valid translations are cacheable even when this particular
-		// access kind permission-faults: the TLB caches the walk, the
-		// permission check happens per access.
-		t.fill(cpu, key, sh, slot, pte, level, deps, ndeps)
 	}
 	return leafResult(pte, level, ia, acc)
 }
 
-// walkLeafDeps is WalkLeaf with dependency recording: each table
-// page's generation is loaded before its descriptor so an unchanged
+// fill walks key's page and, when the walk ends at a valid leaf,
+// appends the translation to vmid's set s (nil before its first fill).
+// Valid translations are cacheable even when the access kind at hand
+// permission-faults: the TLB caches the walk, the permission check
+// happens per access. Caller holds t.mu.
+func (t *TLB) fill(cpu int, vmid VMID, s *tlbSet, key tlbKey) (PTE, int) {
+	sp := t.tracer.Begin(t.lane, spanTLBFill)
+	defer sp.End()
+	e := tlbEntry{key: key, cpu: cpu}
+	t.walk(&e)
+	if k := e.pte.Kind(e.level); k != EKBlock && k != EKPage {
+		return e.pte, e.level
+	}
+	if s == nil {
+		s = &tlbSet{vmid: vmid, index: map[uint64]int{}}
+		t.sets = append(t.sets, s)
+	}
+	if _, ok := s.index[key.page]; ok { // cached under another root or stage
+		s.filter(func(o *tlbEntry) bool { return o.key.page != key.page })
+	}
+	if len(s.entries) == tlbCapacity {
+		n := 0
+		s.filter(func(*tlbEntry) bool { n++; return n > tlbCapacity/4 })
+	}
+	s.index[key.page] = len(s.entries)
+	s.entries = append(s.entries, e)
+	return e.pte, e.level
+}
+
+// walk is WalkLeaf for e's page with dependency recording: each table
+// page's generation is loaded before its descriptor, so an unchanged
 // generation later proves the read is still current.
-func (t *TLB) walkLeafDeps(root PhysAddr, ia uint64) (PTE, int, [tlbMaxDeps]tlbDep, int) {
-	var deps [tlbMaxDeps]tlbDep
-	table := root
+func (t *TLB) walk(e *tlbEntry) {
+	ia := e.key.page << PageShift
+	table := e.key.root
 	for level := StartLevel; level <= LastLevel; level++ {
 		ref := t.mem.FrameGenRef(table)
-		deps[level-StartLevel] = tlbDep{ref: ref, gen: ref.Load()}
+		e.deps[level-StartLevel] = tlbDep{ref: ref, gen: ref.Load()}
 		pte := t.mem.ReadPTE(table, IndexAt(ia, level))
 		if pte.Kind(level) != EKTable {
-			return pte, level, deps, level - StartLevel + 1
+			e.pte, e.level, e.ndeps = pte, level, level-StartLevel+1
+			return
 		}
 		table = pte.TableAddr()
 	}
 	panic("arch: walk ran past the last level")
-}
-
-func (t *TLB) fill(cpu int, key tlbKey, sh *tlbShard, slot int, pte PTE, level int, deps [tlbMaxDeps]tlbDep, ndeps int) {
-	sp := t.tracer.Begin(t.lane, spanTLBFill)
-	defer sp.End()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := 0; i < ndeps; i++ {
-		if deps[i].ref.Load() != deps[i].gen {
-			// A table page this walk read was rewritten since: the result
-			// may predate a TLBI that already scanned this shard, so
-			// publishing it could resurrect an invalidated translation.
-			if !telemetry.Disabled() {
-				telTLBFillAborts.Inc()
-			}
-			return
-		}
-	}
-	sh.set(slot, &tlbEntry{key: key, pte: pte, level: level, cpu: cpu, deps: deps, ndeps: ndeps})
 }
 
 // LookupLeaf is the software lookup path serving pgtable.GetLeaf: the
@@ -271,43 +277,34 @@ func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE,
 	if t == nil {
 		return 0, 0, false
 	}
-	key := tlbKey{root: root, page: ia >> PageShift, vmid: vmid, stage: stage}
-	sh, slot := t.locate(key)
-	e := sh.slots[slot].Load()
-	if e == nil || e.key != key || !e.depsFresh() {
+	key := tlbKey{root: root, page: ia >> PageShift, stage: stage}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.find(vmid)
+	i, ok := s.lookup(key)
+	if !ok || !s.entries[i].depsFresh() {
 		return 0, 0, false
 	}
 	if !telemetry.Disabled() {
 		telTLBLookupHits.Inc()
 	}
-	return e.pte, e.level, true
+	return s.entries[i].pte, s.entries[i].level, true
 }
 
 // InvalidateRange drops every cached translation tagged vmid whose
 // leaf coverage intersects [ia, ia+size) — Arm's TLBI IPAS2E1IS /
-// VAE2IS by-address forms. An entry cached from a block leaf matches
-// any address the block covers, not just the page that filled it.
+// VAE2IS by-address forms.
 func (t *TLB) InvalidateRange(vmid VMID, ia, size uint64) {
 	// The TLBI preemption point fires before the nil check: the
-	// invalidation is architecturally issued even when the software TLB
-	// is absent, and a schedule's park at "the TLBI of this mutation"
-	// must not depend on the NoTLB ablation. Fired here (not at every
-	// emitting call site) so the table point resolved is the caller's.
+	// invalidation is architecturally issued whether or not a TLB is
+	// attached. Fired here (not at every emitting call site) so the
+	// table point resolved is the caller's.
 	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
 	end := ia + size
-	t.sweep(func(e *tlbEntry) bool {
-		if e.key.vmid != vmid {
-			return false
-		}
-		base := (e.key.page << PageShift) &^ (LevelSize(e.level) - 1)
-		return base < end && ia < base+LevelSize(e.level)
-	})
+	t.sweep(vmid, false, func(e *tlbEntry) bool { return !e.overlaps(ia, end) })
 }
 
 // InvalidateIPA drops the cached translations of one page — the
@@ -323,10 +320,7 @@ func (t *TLB) InvalidateVMID(vmid VMID) {
 	if t == nil {
 		return
 	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
-	t.sweep(func(e *tlbEntry) bool { return e.key.vmid == vmid })
+	t.sweep(vmid, false, func(*tlbEntry) bool { return false })
 }
 
 // InvalidateAll drops everything — TLBI ALLE1IS.
@@ -335,47 +329,39 @@ func (t *TLB) InvalidateAll() {
 	if t == nil {
 		return
 	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
-	t.sweep(func(*tlbEntry) bool { return true })
+	t.sweep(0, true, func(*tlbEntry) bool { return false })
 }
 
 // InvalidateStale drops every cached translation whose recorded table
 // pages have been rewritten since the fill. A snapshot restore bumps
 // the generation of each frame it rewrites, so this one sweep is the
 // whole TLB story of a restore: entries over restored table pages
-// vanish, entries whose dependencies never moved are provably still
-// coherent and stay warm across executions. (The plain Walk hit path
-// does not check dependencies — architecturally a hit is a hit — so
-// stale entries must be swept here rather than left to age out, or the
-// next execution would both translate through ghosts of the previous
-// one and trip CheckCoherence's missing-TLBI report.)
+// vanish, the others stay warm across executions. (Walk hits do not
+// check dependencies, so without the sweep the next execution would
+// translate through the previous one's tables and trip
+// CheckCoherence.)
 func (t *TLB) InvalidateStale() {
 	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
+	t.sweep(0, true, (*tlbEntry).depsFresh)
+}
+
+// sweep keeps the entries of vmid (of every VMID when all is set) that
+// keep accepts.
+func (t *TLB) sweep(vmid VMID, all bool, keep func(*tlbEntry) bool) {
 	if !telemetry.Disabled() {
 		telTLBInvalidates.Inc()
 	}
-	t.sweep(func(e *tlbEntry) bool { return !e.depsFresh() })
-}
-
-func (t *TLB) sweep(drop func(*tlbEntry) bool) {
 	sp := t.tracer.Begin(t.lane, spanTLBInvalidate)
 	defer sp.End()
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live > 0 {
-			for i := range sh.slots {
-				if e := sh.slots[i].Load(); e != nil && drop(e) {
-					sh.set(i, nil)
-				}
-			}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.sets {
+		if all || s.vmid == vmid {
+			s.filter(keep)
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -384,34 +370,21 @@ func (t *TLB) Len() int {
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	t.sweepRead(func(*tlbEntry) { n++ })
+	for _, s := range t.sets {
+		n += len(s.entries)
+	}
 	return n
 }
 
-func (t *TLB) sweepRead(visit func(*tlbEntry)) {
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live > 0 {
-			for i := range sh.slots {
-				if e := sh.slots[i].Load(); e != nil {
-					visit(e)
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// CheckCoherence re-walks every live entry tagged vmid against the
-// current tables and returns a description of each whose cached
+// CheckCoherence re-walks vmid's entries against the current tables
+// and returns, in fill order, a description of each whose cached
 // translation disagrees — the evidence behind the ghost oracle's
-// FailStaleTLB alarm. Entries whose dependency generations are
-// unchanged are provably coherent and skipped without re-walking; a
-// re-walk that still yields the same translation (possibly through a
-// split, at a different level) refreshes the entry in place. Stale
-// entries are reported once and dropped.
+// FailStaleTLB alarm. Entries whose dependencies never moved are
+// skipped; a re-walk that yields the same translation refreshes the
+// entry in place. Stale entries are reported once and dropped.
 //
 // The caller must hold the lock of the component owning vmid's tables
 // so they are quiescent during the re-walks; the ghost oracle runs
@@ -423,44 +396,33 @@ func (t *TLB) CheckCoherence(vmid VMID) []string {
 	if t == nil {
 		return nil
 	}
-	var out []string
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		for i := range sh.slots {
-			e := sh.slots[i].Load()
-			if e == nil || e.key.vmid != vmid {
-				continue
-			}
-			if e.depsFresh() {
-				continue
-			}
-			ia := e.key.page << PageShift
-			pte, level, deps, ndeps := t.walkLeafDeps(e.key.root, ia)
-			cachedOA := e.pte.OutputAddr(e.level) + PhysAddr(ia&(LevelSize(e.level)-1))
-			if k := pte.Kind(level); k == EKBlock || k == EKPage {
-				freshOA := pte.OutputAddr(level) + PhysAddr(ia&(LevelSize(level)-1))
-				if freshOA == cachedOA && pte.Attrs() == e.pte.Attrs() {
-					sh.set(i, &tlbEntry{
-						key: e.key, pte: pte, level: level, cpu: e.cpu, deps: deps, ndeps: ndeps})
-					continue
-				}
-				out = append(out, fmt.Sprintf(
-					"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but the tables now give pa=%#x [%v] (level %d) — a required TLBI was not issued",
-					vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu,
-					uint64(freshOA), pte.Attrs(), level))
-			} else {
-				out = append(out, fmt.Sprintf(
-					"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but a fresh walk finds a %v entry — a required TLBI was not issued",
-					vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu, k))
-			}
-			sh.set(i, nil)
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.find(vmid)
+	if s == nil {
+		return nil
 	}
+	var out []string
+	s.filter(func(e *tlbEntry) bool {
+		if e.depsFresh() {
+			return true
+		}
+		fresh := tlbEntry{key: e.key, cpu: e.cpu}
+		t.walk(&fresh)
+		var now string
+		if k := fresh.pte.Kind(fresh.level); k != EKBlock && k != EKPage {
+			now = fmt.Sprintf("a fresh walk finds a %v entry", k)
+		} else if fresh.oa() != e.oa() || fresh.pte.Attrs() != e.pte.Attrs() {
+			now = fmt.Sprintf("the tables now give pa=%#x [%v] (level %d)",
+				uint64(fresh.oa()), fresh.pte.Attrs(), fresh.level)
+		} else {
+			*e = fresh // the same translation, perhaps through a split
+			return true
+		}
+		out = append(out, fmt.Sprintf(
+			"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but %s — a required TLBI was not issued",
+			vmid, e.key.page<<PageShift, uint64(e.oa()), e.pte.Attrs(), e.level, e.cpu, now))
+		return false
+	})
 	return out
 }

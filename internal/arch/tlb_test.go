@@ -1,7 +1,10 @@
 package arch
 
 import (
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -159,22 +162,154 @@ func TestTLBPermissionFaultStillCaches(t *testing.T) {
 	}
 }
 
-func TestTLBFillAbortsOnConcurrentWrite(t *testing.T) {
+// TestTLBConcurrentFillsVsTLBI races hardware-path fills and software
+// lookups against a mutator doing break-before-make with its TLBIs. A
+// fill walks under the TLB mutex, so it is ordered before a TLBI (and
+// swept by it) or after it (and reads the new tables): with no TLBI
+// missing, no coherence check may ever report a stale entry.
+func TestTLBConcurrentFillsVsTLBI(t *testing.T) {
 	m := NewMemory(DefaultLayout())
 	root := buildTestTable(m)
 	tlb := NewTLB(m)
-
-	// Reproduce the fill-vs-mutate race deterministically with the
-	// in-package pieces: record the walk, mutate a dependency page (as a
-	// racing CPU would between walk and publish), then attempt the fill.
-	key := tlbKey{root: root, page: 0, vmid: 1, stage: Stage2}
-	sh, slot := tlb.locate(key)
-	pte, level, deps, ndeps := tlb.walkLeafDeps(root, 0x0)
 	l3 := PhysAddr(0x9000_3000)
-	m.WritePTE(l3, 0, MakeLeaf(3, 0x4000_7000, Attrs{Perms: PermRWX, Mem: MemNormal}))
-	tlb.fill(0, key, sh, slot, pte, level, deps, ndeps)
-	if tlb.Len() != 0 {
-		t.Errorf("Len = %d: fill published a result whose tables changed", tlb.Len())
+	const pages = 8
+	attrs := Attrs{Perms: PermRW, Mem: MemNormal}
+	for i := 0; i < pages; i++ {
+		m.WritePTE(l3, i, MakeLeaf(3, PhysAddr(0x4000_0000+i*PageSize), attrs))
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for cpu := 0; cpu < 3; cpu++ {
+		wg.Add(1)
+		go func(cpu int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				ia := uint64(i%pages) << PageShift
+				tlb.Walk(cpu, root, Stage2, 1, ia, Access{})
+				tlb.LookupLeaf(root, Stage2, 1, ia)
+			}
+		}(cpu)
+	}
+	for round := 0; round < 20000; round++ {
+		i := round % pages
+		m.WritePTE(l3, i, 0) // break
+		if round%16 == 0 {
+			tlb.InvalidateVMID(1)
+		} else {
+			tlb.InvalidateIPA(1, uint64(i)<<PageShift)
+		}
+		if stale := tlb.CheckCoherence(1); len(stale) != 0 {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("round %d, after the TLBI: %v", round, stale)
+		}
+		m.WritePTE(l3, i, MakeLeaf(3, PhysAddr(0x5000_0000+round*PageSize), attrs)) // make
+		if stale := tlb.CheckCoherence(1); len(stale) != 0 {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("round %d, after the make: %v", round, stale)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// TestTLBRefreshDoesNotAllocate: a coherence check whose only work is
+// refreshing moved-but-equal entries updates them in place.
+func TestTLBRefreshDoesNotAllocate(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	root := buildTestTable(m)
+	tlb := NewTLB(m)
+	for _, ia := range []uint64{0x0, 0x1000, 0x20_0000} {
+		if _, f := tlbWalk(tlb, root, 1, ia); f != nil {
+			t.Fatalf("walk %#x faulted: %v", ia, f)
+		}
+	}
+	l3 := PhysAddr(0x9000_3000)
+	leaf := m.ReadPTE(l3, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.WritePTE(l3, 0, leaf) // same descriptor, new generation
+		if stale := tlb.CheckCoherence(1); len(stale) != 0 {
+			t.Fatalf("refresh reported stale: %v", stale)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refresh-only CheckCoherence allocates %.1f times per call", allocs)
+	}
+	if tlb.Len() != 3 {
+		t.Errorf("Len = %d after refreshes, want 3", tlb.Len())
+	}
+}
+
+// TestTLBOtherVMIDsUntouched: maintenance and coherence checks of one
+// VMID leave every entry of the others exactly as it was, and stale
+// entries are reported in fill order.
+func TestTLBOtherVMIDsUntouched(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	root := buildTestTable(m)
+	tlb := NewTLB(m)
+	for _, vmid := range []VMID{1, 2} {
+		for _, ia := range []uint64{0x1000, 0x0, 0x20_0000} {
+			if _, f := tlbWalk(tlb, root, vmid, ia); f != nil {
+				t.Fatalf("walk vmid %d %#x faulted: %v", vmid, ia, f)
+			}
+		}
+	}
+	before := slices.Clone(tlb.find(2).entries)
+
+	// Move both page translations without a TLBI, then refresh the
+	// block's dependencies by rewriting its descriptor unchanged.
+	l2, l3 := PhysAddr(0x9000_2000), PhysAddr(0x9000_3000)
+	attrs := Attrs{Perms: PermRWX, Mem: MemNormal}
+	m.WritePTE(l3, 0, MakeLeaf(3, 0x4000_8000, attrs))
+	m.WritePTE(l3, 1, MakeLeaf(3, 0x4000_9000, attrs))
+	m.WritePTE(l2, 1, m.ReadPTE(l2, 1))
+	stale := tlb.CheckCoherence(1)
+	if len(stale) != 2 || !strings.Contains(stale[0], "ia 0x1000:") || !strings.Contains(stale[1], "ia 0x0:") {
+		t.Fatalf("stale reports = %q, want ia 0x1000 then ia 0x0 (fill order)", stale)
+	}
+	tlb.InvalidateRange(1, 0, 1<<30)
+	if tlb.Len() != 3 {
+		t.Fatalf("Len = %d, want vmid 2's 3 entries", tlb.Len())
+	}
+	if !slices.Equal(before, tlb.find(2).entries) {
+		t.Error("vmid 1's check or TLBI changed vmid 2's entries")
+	}
+	if again := tlb.CheckCoherence(2); len(again) != 2 {
+		t.Errorf("vmid 2 stale reports = %q, want its own 2", again)
+	}
+}
+
+// TestTLBEvictsOldestQuarter: a fill into a full VMID set first
+// evicts the oldest quarter of it.
+func TestTLBEvictsOldestQuarter(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	root := buildTestTable(m)
+	tlb := NewTLB(m)
+	for i := 0; i < tlbCapacity; i++ { // every page of the 2MB block
+		if _, f := tlbWalk(tlb, root, 1, 0x20_0000+uint64(i)*PageSize); f != nil {
+			t.Fatalf("walk faulted: %v", f)
+		}
+	}
+	if _, f := tlbWalk(tlb, root, 1, 0x0); f != nil {
+		t.Fatalf("walk faulted: %v", f)
+	}
+	if want := tlbCapacity - tlbCapacity/4 + 1; tlb.Len() != want {
+		t.Fatalf("Len = %d, want %d", tlb.Len(), want)
+	}
+	for _, c := range []struct {
+		ia   uint64
+		want bool
+	}{
+		{0x20_0000, false},
+		{0x20_0000 + (tlbCapacity/4-1)*PageSize, false},
+		{0x20_0000 + tlbCapacity/4*PageSize, true},
+		{0x0, true},
+	} {
+		if _, _, ok := tlb.LookupLeaf(root, Stage2, 1, c.ia); ok != c.want {
+			t.Errorf("LookupLeaf(%#x) hit = %v, want %v", c.ia, ok, c.want)
+		}
 	}
 }
 
@@ -250,5 +385,29 @@ func TestTLBNilIsDisabled(t *testing.T) {
 	}
 	if stale := tlb.CheckCoherence(1); stale != nil {
 		t.Errorf("nil TLB reported stale entries: %v", stale)
+	}
+}
+
+// TestTLBOneEntryPerPage: a VMID's set holds one entry per page, so a
+// fill of the same page under another root replaces the old entry.
+func TestTLBOneEntryPerPage(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	root := buildTestTable(m)
+	other := PhysAddr(0x9100_0000)
+	m.WritePTE(other, 0, MakeTable(0x9000_1000)) // shares root's lower levels
+	tlb := NewTLB(m)
+	for _, r := range []PhysAddr{root, other} {
+		if _, f := tlbWalk(tlb, r, 1, 0x0); f != nil {
+			t.Fatalf("walk from %#x faulted: %v", uint64(r), f)
+		}
+	}
+	if tlb.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", tlb.Len())
+	}
+	if _, _, ok := tlb.LookupLeaf(root, Stage2, 1, 0x0); ok {
+		t.Error("the replaced root's entry still hits")
+	}
+	if _, _, ok := tlb.LookupLeaf(other, Stage2, 1, 0x0); !ok {
+		t.Error("the replacing root's entry misses")
 	}
 }

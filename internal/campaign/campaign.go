@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,13 +73,9 @@ type Config struct {
 	// BigMemory boots the large-physical-map layout (boot-layout bug
 	// class); otherwise the default layout.
 	BigMemory bool
-	// NoTLB boots the systems without the software TLB (every
-	// translation is a full walk) — the before leg of the TLB
-	// benchmark, and an ablation for the stale-TLB checks.
-	NoTLB bool
 	// NoSnapshot boots a fresh system for every execution instead of
 	// rewinding a long-lived one — the before leg of the snapshot
-	// benchmark, mirroring NoTLB.
+	// benchmark.
 	NoSnapshot bool
 	// NrCPUs is the virtual-CPU count of every booted system (default
 	// 4, mirroring hyp.Config). It is also the vCPU count of the
@@ -484,7 +481,7 @@ func (e *Engine) Status() Status {
 // booting worker's lane.
 func (e *Engine) newSystem(w int) (*proxy.Driver, *ghost.Recorder, *coverage.Tracker, error) {
 	hcfg := hyp.Config{
-		Inj: faults.NewInjector(e.cfg.Bugs...), NoTLB: e.cfg.NoTLB,
+		Inj:    faults.NewInjector(e.cfg.Bugs...),
 		NrCPUs: e.cfg.NrCPUs,
 		Tracer: e.tracer, TraceLane: w,
 	}
@@ -622,7 +619,11 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 	exec := e.execs.Add(1)
 	telExecs.Inc()
 
-	tr := &randtest.Trace{}
+	// Presize for the parent plus this run's steps: a guided step
+	// records ~1.25 ops (498.5 per 400 steps over 20 seeds), and
+	// growing the trace from empty by append cost ~9% of campaign
+	// bytes. absorbCoverage clips what the corpus keeps.
+	tr := &randtest.Trace{Ops: make([]randtest.Op, 0, in.parent.Len()+in.steps*5/4)}
 	if in.parent != nil {
 		tr.Ops = append(tr.Ops, in.parent.Ops...)
 		if !forked {
@@ -724,6 +725,7 @@ func (e *Engine) absorbCoverage(w int, cov *coverage.Tracker, tr *randtest.Trace
 			snap = e.captureParent(w, ws)
 		}
 		score := float64(novelty) + e.agg.Rarity(cov)
+		tr.Ops = slices.Clone(tr.Ops) // drop runOne's slack
 		e.corpus.add(tr, score, snap)
 		if e.cfg.OnCorpus != nil && tr.Len() > 0 {
 			e.cfg.OnCorpus(tr, score)

@@ -508,10 +508,6 @@ func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
 func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 	sp := r.tracer.Begin(r.lane, spanGhostTLB)
 	defer sp.End()
-	tlb := r.hv.TLB()
-	if tlb == nil {
-		return
-	}
 	var vmid arch.VMID
 	switch c.Kind {
 	case hyp.CompHost:
@@ -523,7 +519,7 @@ func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 	default:
 		return // the VM table owns no translations
 	}
-	if stale := tlb.CheckCoherence(vmid); len(stale) > 0 {
+	if stale := r.hv.TLB().CheckCoherence(vmid); len(stale) > 0 {
 		r.failOn(cpu, FailStaleTLB, strings.Join(stale, "\n"))
 	}
 }

@@ -81,10 +81,6 @@ type Config struct {
 	HypPoolPages uint64
 	// Inj selects injected bugs; nil injects nothing.
 	Inj *faults.Injector
-	// NoTLB disables the software TLB: every translation re-walks the
-	// tables, the pre-TLB behaviour. Used by the benchmark legs and by
-	// tests that want walk-always semantics.
-	NoTLB bool
 	// Tracer, when set, receives execution spans (trap dispatch, table
 	// mutations, TLB maintenance, oracle checks) on TraceLane. The
 	// campaign engine passes one tracer with a lane per worker; nil
@@ -160,9 +156,7 @@ type Hypervisor struct {
 	percpu []*PerCPU
 
 	// tlb is the software TLB modelling the hardware translation
-	// caches; nil when Config.NoTLB disabled it (a nil TLB is a valid
-	// no-op for maintenance, and the translate helpers fall back to
-	// direct walks).
+	// caches.
 	tlb *arch.TLB
 	// hostTLBIOff suppresses the host stage 2 TLBI notifications while
 	// set — the injection window of BugUnshareSkipTLBI. Written and
@@ -216,10 +210,8 @@ func New(cfg Config) (*Hypervisor, error) {
 	for _, l := range []*spinlock.Lock{hv.hostLock, hv.hypLock, hv.vmsLock} {
 		l.SetTracer(hv.tracer, hv.traceLane)
 	}
-	if !cfg.NoTLB {
-		hv.tlb = arch.NewTLB(m)
-		hv.tlb.SetTracer(hv.tracer, hv.traceLane)
-	}
+	hv.tlb = arch.NewTLB(m)
+	hv.tlb.SetTracer(hv.tracer, hv.traceLane)
 
 	hv.globals = Globals{
 		NrCPUs:      cfg.NrCPUs,

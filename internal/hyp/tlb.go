@@ -27,8 +27,8 @@ import (
 // translation of it survives, which the ghost oracle's coherence check
 // reports as FailStaleTLB at the unshare's own host-lock release.
 
-// TLB returns the system's software TLB, nil when disabled. The ghost
-// oracle reads it for the stale-entry coherence check.
+// TLB returns the system's software TLB. The ghost oracle reads it
+// for the stale-entry coherence check.
 func (hv *Hypervisor) TLB() *arch.TLB { return hv.tlb }
 
 // VMIDForHandle returns the VMID of the guest with the given handle
@@ -72,22 +72,15 @@ func (hv *Hypervisor) guestTLBI(vmid arch.VMID) func(ia, size uint64) {
 }
 
 // TranslateHost is the hardware's host stage 2 translation for an
-// access on cpu: through the TLB when enabled, a direct walk
-// otherwise. Like real host loads and stores it takes no lock — the
-// MMU does not serialize against the hypervisor — which is exactly
-// what makes a skipped TLBI observable.
+// access on cpu, through the TLB. Like real host loads and stores it
+// takes no lock — the MMU does not serialize against the hypervisor —
+// which is exactly what makes a skipped TLBI observable.
 func (hv *Hypervisor) TranslateHost(cpu int, ipa arch.IPA, acc arch.Access) (arch.WalkResult, *arch.Fault) {
-	if hv.tlb == nil {
-		return arch.Walk(hv.Mem, hv.hostPGT.Root(), uint64(ipa), acc)
-	}
 	return hv.tlb.Walk(cpu, hv.hostPGT.Root(), arch.Stage2, VMIDHost, uint64(ipa), acc)
 }
 
 // translateGuest is the hardware's guest stage 2 translation for an
 // access by the vCPU running on cpu.
 func (hv *Hypervisor) translateGuest(cpu int, vm *VM, ipa arch.IPA, acc arch.Access) (arch.WalkResult, *arch.Fault) {
-	if hv.tlb == nil {
-		return arch.Walk(hv.Mem, vm.PGT.Root(), uint64(ipa), acc)
-	}
 	return hv.tlb.Walk(cpu, vm.PGT.Root(), arch.Stage2, vm.VMID, uint64(ipa), acc)
 }

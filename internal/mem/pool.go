@@ -7,39 +7,44 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ghostspec/internal/arch"
 )
 
-// Pool is a simple free-list allocator over a contiguous range of
-// physical frames. It backs both the host's allocatable memory and
-// the hypervisor's donated carve-out.
+// Pool is a LIFO free-list allocator over a contiguous range of
+// physical frames. It backs both the host's allocatable memory and the
+// hypervisor's donated carve-out.
+//
+// Frames go out bottom-up, most recently freed first. The free list is
+// kept as a watermark plus a stack: frames at or above the watermark
+// were never handed out (or were returned in the reverse of their
+// hand-out order), and the stack holds the other freed frames. With an
+// in-use bitmap every operation, snapshot and restore costs what is
+// live rather than the size of the range.
 type Pool struct {
 	mu    sync.Mutex
 	name  string
 	start arch.PFN
 	count uint64
-	free  []arch.PFN
-	inUse map[arch.PFN]bool
+	// next is the watermark: start+next .. start+count-1 are free and
+	// go out in ascending order once the stack is empty. The
+	// representation is canonical: freeing start+next-1 while the
+	// stack is empty lowers the watermark instead of pushing.
+	next  uint64
+	freed []arch.PFN // stack of the other free frames, top last
+	inUse []uint64   // bit i set iff start+i is handed out
 }
 
 // NewPool creates a pool over nr frames starting at start.
 func NewPool(name string, start arch.PFN, nr uint64) *Pool {
-	p := &Pool{
-		name:  name,
-		start: start,
-		count: nr,
-		free:  make([]arch.PFN, 0, nr),
-		inUse: make(map[arch.PFN]bool, nr),
-	}
-	// Push in reverse so allocation proceeds from the bottom up,
-	// which keeps test addresses readable.
-	for i := nr; i > 0; i-- {
-		p.free = append(p.free, start+arch.PFN(i-1))
-	}
-	return p
+	return &Pool{name: name, start: start, count: nr, inUse: make([]uint64, (nr+63)/64)}
+}
+
+func (p *Pool) bit(pfn arch.PFN) (*uint64, uint64) {
+	i := uint64(pfn - p.start)
+	return &p.inUse[i/64], 1 << (i % 64)
 }
 
 // Alloc takes one frame from the pool. It returns false when the pool
@@ -47,12 +52,19 @@ func NewPool(name string, start arch.PFN, nr uint64) *Pool {
 func (p *Pool) Alloc() (arch.PFN, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) == 0 {
+	var pfn arch.PFN
+	switch {
+	case len(p.freed) > 0:
+		pfn = p.freed[len(p.freed)-1]
+		p.freed = p.freed[:len(p.freed)-1]
+	case p.next < p.count:
+		pfn = p.start + arch.PFN(p.next)
+		p.next++
+	default:
 		return 0, false
 	}
-	pfn := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.inUse[pfn] = true
+	w, b := p.bit(pfn)
+	*w |= b
 	return pfn, true
 }
 
@@ -65,11 +77,16 @@ func (p *Pool) Free(pfn arch.PFN) {
 	if !p.contains(pfn) {
 		panic(fmt.Sprintf("mem: pool %s freeing foreign frame %#x", p.name, uint64(pfn)))
 	}
-	if !p.inUse[pfn] {
+	w, b := p.bit(pfn)
+	if *w&b == 0 {
 		panic(fmt.Sprintf("mem: pool %s double free of frame %#x", p.name, uint64(pfn)))
 	}
-	delete(p.inUse, pfn)
-	p.free = append(p.free, pfn)
+	*w &^= b
+	if len(p.freed) == 0 && uint64(pfn-p.start) == p.next-1 {
+		p.next--
+		return
+	}
+	p.freed = append(p.freed, pfn)
 }
 
 func (p *Pool) contains(pfn arch.PFN) bool {
@@ -89,21 +106,25 @@ func (p *Pool) Contains(pfn arch.PFN) bool {
 func (p *Pool) InUse(pfn arch.PFN) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.inUse[pfn]
+	if !p.contains(pfn) {
+		return false
+	}
+	w, b := p.bit(pfn)
+	return *w&b != 0
 }
 
 // Available returns the number of free frames.
 func (p *Pool) Available() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.free)
+	return int(p.count-p.next) + len(p.freed)
 }
 
 // Allocated returns the number of frames currently handed out.
 func (p *Pool) Allocated() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.inUse)
+	return int(p.next) - len(p.freed)
 }
 
 // Range returns the pool's frame range as [start, start+count).
@@ -111,24 +132,18 @@ func (p *Pool) Range() (arch.PFN, uint64) { return p.start, p.count }
 
 // PoolSnapshot is a value copy of a pool's allocation state: the exact
 // free-list order (allocation replay must hand out the same PFNs in
-// the same sequence) and the allocated set. Pure data — portable
-// across identically shaped pools on different workers.
+// the same sequence), which also fixes the allocated set. Pure data —
+// portable across identically shaped pools on different workers.
 type PoolSnapshot struct {
-	Free  []arch.PFN
-	InUse []arch.PFN
+	next  uint64
+	freed []arch.PFN
 }
 
 // Snapshot captures the pool's current allocation state.
 func (p *Pool) Snapshot() PoolSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := PoolSnapshot{Free: append([]arch.PFN(nil), p.free...)}
-	s.InUse = make([]arch.PFN, 0, len(p.inUse))
-	for pfn := range p.inUse {
-		s.InUse = append(s.InUse, pfn)
-	}
-	sort.Slice(s.InUse, func(i, j int) bool { return s.InUse[i] < s.InUse[j] })
-	return s
+	return PoolSnapshot{next: p.next, freed: slices.Clone(p.freed)}
 }
 
 // Restore rewinds the pool to a previously captured state. The
@@ -137,28 +152,27 @@ func (p *Pool) Snapshot() PoolSnapshot {
 func (p *Pool) Restore(s PoolSnapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.free = append(p.free[:0], s.Free...)
-	clear(p.inUse)
-	for _, pfn := range s.InUse {
-		p.inUse[pfn] = true
+	p.next = s.next
+	p.freed = append(p.freed[:0], s.freed...)
+	full := s.next / 64
+	for i := range p.inUse {
+		switch {
+		case uint64(i) < full:
+			p.inUse[i] = ^uint64(0)
+		case uint64(i) == full:
+			p.inUse[i] = 1<<(s.next%64) - 1
+		default:
+			p.inUse[i] = 0
+		}
+	}
+	for _, pfn := range s.freed {
+		w, b := p.bit(pfn)
+		*w &^= b
 	}
 }
 
 // Equal reports whether two snapshots describe the same allocation
 // state, including free-list order.
 func (s PoolSnapshot) Equal(o PoolSnapshot) bool {
-	if len(s.Free) != len(o.Free) || len(s.InUse) != len(o.InUse) {
-		return false
-	}
-	for i := range s.Free {
-		if s.Free[i] != o.Free[i] {
-			return false
-		}
-	}
-	for i := range s.InUse {
-		if s.InUse[i] != o.InUse[i] {
-			return false
-		}
-	}
-	return true
+	return s.next == o.next && slices.Equal(s.freed, o.freed)
 }
