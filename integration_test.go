@@ -6,6 +6,7 @@ package ghostspec
 
 import (
 	"testing"
+	"time"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/bugdemo"
@@ -87,16 +88,28 @@ func TestFullStackScenario(t *testing.T) {
 }
 
 // TestSuiteTimesGhostOverhead reproduces the E7 direction: the ghost
-// build must be measurably slower (and both must pass).
+// build must be measurably slower (and both must pass). One wall-clock
+// sample per side is noise under parallel package load, so it compares
+// the fastest of 5 alternating oracle-off/on passes.
 func TestSuiteTimesGhostOverhead(t *testing.T) {
-	off := suite.Summarise(suite.Run(suite.Options{Ghost: false}))
-	on := suite.Summarise(suite.Run(suite.Options{Ghost: true}))
-	if off.Failed != 0 || on.Failed != 0 {
-		t.Fatalf("suite failed: off=%+v on=%+v", off, on)
+	var off, on time.Duration
+	for i := 0; i < 5; i++ {
+		for _, withGhost := range []bool{false, true} {
+			sum := suite.Summarise(suite.Run(suite.Options{Ghost: withGhost}))
+			if sum.Failed != 0 {
+				t.Fatalf("suite failed (ghost=%v): %+v", withGhost, sum)
+			}
+			best := &off
+			if withGhost {
+				best = &on
+			}
+			if i == 0 || sum.TotalDuration < *best {
+				*best = sum.TotalDuration
+			}
+		}
 	}
-	if on.TotalDuration <= off.TotalDuration {
-		t.Errorf("ghost suite (%v) not slower than bare suite (%v): instrumentation inert?",
-			on.TotalDuration, off.TotalDuration)
+	if on <= off {
+		t.Errorf("ghost suite (min %v) not slower than bare suite (min %v): instrumentation inert?", on, off)
 	}
 }
 

@@ -3,6 +3,7 @@ package preempt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -31,11 +32,6 @@ func Known(id uint64) bool {
 	_, ok := ByID(id)
 	return ok
 }
-
-// Armed reports whether a hook is installed. Call sites whose
-// instrumentation has a per-call setup cost (the pgtable walker wraps
-// its visitor) use it to skip that cost on unscheduled runs.
-func Armed() bool { return hook.Load() != nil }
 
 // frameKey locates a table point from a runtime call frame: frames
 // carry absolute file paths and no column, so the index is keyed by
@@ -69,29 +65,84 @@ func buildFrameIndex() {
 	}
 }
 
-// FireCaller fires the table point of the given kind found on the
-// calling stack. The instrumentation primitives (spinlock Lock/Unlock,
-// the arch TLB invalidations, the pgtable visitor dispatch) call it
-// instead of Fire with an inline ID: the event's table identity is the
+// FireCaller reports to d's bound scheduler a crossing of the table
+// point of the given kind found on the calling stack. The
+// instrumentation primitives (spinlock Lock/Unlock, the arch TLB
+// invalidations, the pgtable visitor dispatch) call it on the domain
+// of the system they belong to: the event's table identity is the
 // *call site* — possibly several frames up, through the hypervisor's
 // lock helpers — and resolving it from the stack keeps the primitives'
 // own source files out of the table's content addressing.
 //
+// Unbound (or nil) this is one atomic load. Bound, it is one stack
+// unwind plus one memo probe (see resolve).
+func (d *Domain) FireCaller(kind Kind) {
+	s := d.Bound()
+	if s == nil {
+		return
+	}
+	var pcs [32]uintptr
+	n := runtime.Callers(2, pcs[:])
+	if p := resolve(kind, pcs[:n]); p != nil {
+		s.Crossing(*p)
+	}
+}
+
+// memoKey is a resolution's memo slot: the point kind and an FNV-1a
+// hash of the call stack's PCs. Entries sharing a slot are told apart
+// by their stored PCs.
+type memoKey struct {
+	kind Kind
+	hash uint64
+}
+
+type memoEntry struct {
+	pcs []uintptr
+	p   *Point // nil: no table point of the kind on this stack
+}
+
+// memo is read-mostly: a program has a bounded set of call stacks
+// that reach a preemption point, each resolved once.
+var (
+	memoMu sync.RWMutex
+	memo   = map[memoKey][]memoEntry{}
+)
+
+// resolve returns the table point of the given kind on the call stack
+// pcs, or nil. The same PCs always symbolize to the same frames, so a
+// stack's resolution is memoized by its PCs; a miss symbolizes it with
+// resolveFrames.
+func resolve(kind Kind, pcs []uintptr) *Point {
+	h := uint64(14695981039346656037)
+	for _, pc := range pcs {
+		h = (h ^ uint64(pc)) * 1099511628211
+	}
+	k := memoKey{kind, h}
+	memoMu.RLock()
+	for _, e := range memo[k] {
+		if slices.Equal(e.pcs, pcs) {
+			memoMu.RUnlock()
+			return e.p
+		}
+	}
+	memoMu.RUnlock()
+	own := make([]uintptr, len(pcs)) // the caller's array stays on its stack
+	copy(own, pcs)
+	p := resolveFrames(kind, own)
+	memoMu.Lock()
+	memo[k] = append(memo[k], memoEntry{pcs: own, p: p})
+	memoMu.Unlock()
+	return p
+}
+
+// resolveFrames symbolizes pcs and returns the matching table point.
 // Of all matching frames the outermost wins: for `hv.lockHost(cpu)`
 // both the helper's internal `Lock()` line and the hypercall's call
 // line are table points, and the caller-specific one names the window
-// a schedule actually distinguishes. Disarmed (no hook, no counting)
-// this is the same two atomic loads as Fire.
-func FireCaller(kind Kind) {
-	h := hook.Load()
-	counting := hitsEnabled.Load()
-	if h == nil && !counting {
-		return
-	}
+// a schedule actually distinguishes.
+func resolveFrames(kind Kind, pcs []uintptr) *Point {
 	frameOnce.Do(buildFrameIndex)
-	var pcs [32]uintptr
-	n := runtime.Callers(2, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
+	frames := runtime.CallersFrames(pcs)
 	var match *Point
 	for {
 		f, more := frames.Next()
@@ -102,19 +153,8 @@ func FireCaller(kind Kind) {
 			}
 		}
 		if !more {
-			break
+			return match
 		}
-	}
-	if match == nil {
-		return
-	}
-	if counting {
-		hitsMu.Lock()
-		hits[match.ID]++
-		hitsMu.Unlock()
-	}
-	if h != nil {
-		(*h)(*match)
 	}
 }
 

@@ -2,7 +2,8 @@
 // extraction: a checked-in table (points_gen.go, regenerated with
 // `go run ./cmd/ghostlint -write-preempt` and drift-gated in CI) of
 // every lock acquire/release, TLBI emission, and page-table visitor
-// step in the module, plus a tiny registry for instrumenting them.
+// step in the module, plus the per-system Domain that reports
+// crossings of them.
 //
 // This is the hook list ROADMAP item 1's deterministic multi-CPU
 // scheduler consumes: a schedule is a sequence of point IDs at which
@@ -11,10 +12,12 @@
 // schedule replays bit-identically as long as the source is unchanged
 // — and fails loudly, rather than silently diverging, when it is not.
 //
-// The registry is deliberately minimal: Points/ByID/ByKind for
-// enumeration, SetHook + Fire for instrumentation. Fire with no hook
-// installed is a few nanoseconds (one atomic load, one counter add),
-// so call sites can be instrumented unconditionally.
+// There is no process-global hook. Each simulated system owns one
+// Domain and hands it to its spinlocks, TLB and page tables at
+// construction; a scheduler driving that system binds the domain for
+// the duration of its run. Systems nobody schedules — other campaign
+// workers, serial replays — stay unbound, and their crossings cost one
+// atomic load.
 package preempt
 
 import (
@@ -94,71 +97,49 @@ func ByKind(k Kind) []Point {
 	return byKind[k]
 }
 
-// Hook observes one preemption-point crossing. A deterministic
-// scheduler's hook blocks the calling virtual CPU here until the
-// schedule says it may proceed.
-type Hook func(p Point)
+// Scheduler receives the crossings of a bound Domain. Under one-token
+// scheduling exactly one virtual CPU of the system runs at a time, so
+// a crossing needs no caller identity: it belongs to the scheduler's
+// running vCPU.
+type Scheduler interface {
+	// Crossing blocks the running vCPU at p until the schedule says it
+	// may proceed.
+	Crossing(p Point)
+}
 
-var hook atomic.Pointer[Hook]
+// Domain is one system's preemption domain: the slot a scheduler binds
+// while it drives the system. The zero value is an unbound domain, and
+// a nil *Domain is a valid domain nobody can bind (objects built
+// outside a system).
+type Domain struct {
+	bound atomic.Pointer[Scheduler]
+}
 
-// SetHook installs the global hook (nil uninstalls). Installation is
-// atomic with respect to concurrent Fire calls.
-func SetHook(h Hook) {
-	if h == nil {
-		hook.Store(nil)
+// Bind attaches s to the domain (nil detaches). Binding a domain that
+// is already bound panics: two schedulers driving one system would
+// each take the other's crossings as their own.
+func (d *Domain) Bind(s Scheduler) {
+	if s == nil {
+		d.bound.Store(nil)
 		return
 	}
-	hook.Store(&h)
-}
-
-// hits counts Fire calls per point, keyed by ID. Plain map with a
-// mutex: Fire on the no-hook fast path does not touch it unless
-// counting is enabled.
-var (
-	hitsMu      sync.Mutex
-	hitsEnabled atomic.Bool
-	hits        map[uint64]uint64
-)
-
-// EnableCounting turns on per-point hit counters (cleared on enable).
-func EnableCounting() {
-	hitsMu.Lock()
-	hits = make(map[uint64]uint64)
-	hitsMu.Unlock()
-	hitsEnabled.Store(true)
-}
-
-// DisableCounting turns counters off.
-func DisableCounting() { hitsEnabled.Store(false) }
-
-// Hits returns the number of Fire calls for a point since counting
-// was enabled.
-func Hits(id uint64) uint64 {
-	hitsMu.Lock()
-	defer hitsMu.Unlock()
-	return hits[id]
-}
-
-// Fire reports that execution reached the point with the given ID.
-// Unknown IDs are ignored (a stale caller against a regenerated table
-// must not crash the hypervisor). With no hook installed and counting
-// off this is two atomic loads.
-func Fire(id uint64) {
-	h := hook.Load()
-	counting := hitsEnabled.Load()
-	if h == nil && !counting {
-		return
-	}
-	p, ok := ByID(id)
-	if !ok {
-		return
-	}
-	if counting {
-		hitsMu.Lock()
-		hits[id]++
-		hitsMu.Unlock()
-	}
-	if h != nil {
-		(*h)(p)
+	if !d.bound.CompareAndSwap(nil, &s) {
+		panic("preempt: domain is already bound to a scheduler")
 	}
 }
+
+// Bound returns the bound scheduler, or nil.
+func (d *Domain) Bound() Scheduler {
+	if d == nil {
+		return nil
+	}
+	if p := d.bound.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Armed reports whether a scheduler is bound. Call sites whose
+// instrumentation has a per-call setup cost (the pgtable walker wraps
+// its visitor) use it to skip that cost on unscheduled systems.
+func (d *Domain) Armed() bool { return d.Bound() != nil }

@@ -74,58 +74,3 @@ func TestByIDAndByKind(t *testing.T) {
 		}
 	}
 }
-
-func TestHookFire(t *testing.T) {
-	p := Points()[0]
-
-	// Fast path: no hook, no counting — must be safe.
-	Fire(p.ID)
-	Fire(0xdeadbeef)
-
-	var fired []uint64
-	SetHook(func(pt Point) { fired = append(fired, pt.ID) })
-	defer SetHook(nil)
-	Fire(p.ID)
-	Fire(0xdeadbeef) // unknown ID: ignored, hook not called
-	if len(fired) != 1 || fired[0] != p.ID {
-		t.Errorf("hook saw %v, want exactly [%#x]", fired, p.ID)
-	}
-
-	SetHook(nil)
-	Fire(p.ID)
-	if len(fired) != 1 {
-		t.Error("hook fired after being cleared")
-	}
-}
-
-func TestCounting(t *testing.T) {
-	p, q := Points()[0], Points()[1]
-	EnableCounting()
-	defer DisableCounting()
-
-	Fire(p.ID)
-	Fire(p.ID)
-	Fire(q.ID)
-	Fire(0xdeadbeef)
-	if got := Hits(p.ID); got != 2 {
-		t.Errorf("Hits(p) = %d, want 2", got)
-	}
-	if got := Hits(q.ID); got != 1 {
-		t.Errorf("Hits(q) = %d, want 1", got)
-	}
-	if got := Hits(0xdeadbeef); got != 0 {
-		t.Errorf("unknown ID counted: %d", got)
-	}
-
-	DisableCounting()
-	Fire(p.ID)
-	if got := Hits(p.ID); got != 2 {
-		t.Errorf("counting survived DisableCounting: Hits(p) = %d", got)
-	}
-
-	// Re-enabling clears the counters.
-	EnableCounting()
-	if got := Hits(p.ID); got != 0 {
-		t.Errorf("EnableCounting did not clear: Hits(p) = %d", got)
-	}
-}

@@ -157,6 +157,9 @@ type TLB struct {
 	// lane; see SetTracer.
 	tracer *trace.Tracer
 	lane   int
+
+	// dom is the owning system's preemption domain; see SetDomain.
+	dom *preempt.Domain
 }
 
 // NewTLB builds a TLB over the given memory. A nil *TLB is a valid
@@ -171,6 +174,10 @@ func NewTLB(m *Memory) *TLB {
 func (t *TLB) SetTracer(tr *trace.Tracer, lane int) {
 	t.tracer, t.lane = tr, lane
 }
+
+// SetDomain attaches the TLB to its system's preemption domain, where
+// every invalidation reports its TLBI point. Install once at boot.
+func (t *TLB) SetDomain(d *preempt.Domain) { t.dom = d }
 
 // find returns vmid's entries, nil before its first fill. A system
 // has a handful of VMIDs, so a scan beats hashing. Caller holds t.mu.
@@ -295,14 +302,12 @@ func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE,
 // leaf coverage intersects [ia, ia+size) — Arm's TLBI IPAS2E1IS /
 // VAE2IS by-address forms.
 func (t *TLB) InvalidateRange(vmid VMID, ia, size uint64) {
-	// The TLBI preemption point fires before the nil check: the
-	// invalidation is architecturally issued whether or not a TLB is
-	// attached. Fired here (not at every emitting call site) so the
-	// table point resolved is the caller's.
-	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
+	// Fired here (not at every emitting call site) so the table point
+	// resolved is the caller's.
+	t.dom.FireCaller(preempt.KindTLBI)
 	end := ia + size
 	t.sweep(vmid, false, func(e *tlbEntry) bool { return !e.overlaps(ia, end) })
 }
@@ -316,19 +321,19 @@ func (t *TLB) InvalidateIPA(vmid VMID, ia uint64) {
 // InvalidateVMID drops every cached translation tagged vmid — Arm's
 // TLBI VMALLS12E1IS, issued when a VM's stage 2 is torn down.
 func (t *TLB) InvalidateVMID(vmid VMID) {
-	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
+	t.dom.FireCaller(preempt.KindTLBI)
 	t.sweep(vmid, false, func(*tlbEntry) bool { return false })
 }
 
 // InvalidateAll drops everything — TLBI ALLE1IS.
 func (t *TLB) InvalidateAll() {
-	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
+	t.dom.FireCaller(preempt.KindTLBI)
 	t.sweep(0, true, func(*tlbEntry) bool { return false })
 }
 
@@ -341,10 +346,10 @@ func (t *TLB) InvalidateAll() {
 // translate through the previous one's tables and trip
 // CheckCoherence.)
 func (t *TLB) InvalidateStale() {
-	preempt.FireCaller(preempt.KindTLBI)
 	if t == nil {
 		return
 	}
+	t.dom.FireCaller(preempt.KindTLBI)
 	t.sweep(0, true, (*tlbEntry).depsFresh)
 }
 

@@ -25,7 +25,7 @@ func newTableFromDonation(hv *Hypervisor, vm *VM) (*pgtable.Table, error) {
 	pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 	pgt.SetTLBI(hv.guestTLBI(vm.VMID))
 	pgt.SetTLB(hv.tlb, vm.VMID)
-	pgt.SetTracer(hv.tracer, hv.traceLane)
+	hv.instrument(pgt)
 	return pgt, nil
 }
 

@@ -87,7 +87,7 @@ func (hv *Hypervisor) initVM(cpu int, nrVCPUs int, donPFN arch.PFN, donNr uint64
 		NrVCPUs:   nrVCPUs,
 		Lock:      spinlock.NewRanked("guest:"+handle.String(), LockRankGuest, nil),
 	}
-	vm.Lock.SetTracer(hv.tracer, hv.traceLane)
+	hv.instrument(vm.Lock)
 	for i := 0; i < nrVCPUs; i++ {
 		vm.VCPUs = append(vm.VCPUs, &VCPU{Idx: i, LoadedOn: -1})
 	}

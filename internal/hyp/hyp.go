@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 	"ghostspec/internal/faults"
 	"ghostspec/internal/mem"
@@ -171,11 +172,10 @@ type Hypervisor struct {
 	// reports attach dumps of it.
 	flight *telemetry.FlightRecorder
 
-	// tracer/traceLane carry the span tracer through every layer of
-	// this system (trap dispatch here, mutations in pgtable, fills in
-	// arch.TLB, checks in ghost); nil stays untraced.
+	// tracer/traceLane and dom reach every layer of this system; see instrument.
 	tracer    *trace.Tracer
 	traceLane int
+	dom       preempt.Domain
 }
 
 // New boots the hypervisor: builds the physical memory, carves out the
@@ -208,10 +208,10 @@ func New(cfg Config) (*Hypervisor, error) {
 		hv.percpu[i] = &PerCPU{LoadedVCPU: -1}
 	}
 	for _, l := range []*spinlock.Lock{hv.hostLock, hv.hypLock, hv.vmsLock} {
-		l.SetTracer(hv.tracer, hv.traceLane)
+		hv.instrument(l)
 	}
 	hv.tlb = arch.NewTLB(m)
-	hv.tlb.SetTracer(hv.tracer, hv.traceLane)
+	hv.instrument(hv.tlb)
 
 	hv.globals = Globals{
 		NrCPUs:      cfg.NrCPUs,
@@ -251,7 +251,7 @@ func (hv *Hypervisor) initHypS1() error {
 	pgt.SetOnTablePage(liveTableGauge(telHypTablesLive))
 	pgt.SetTLBI(hv.hypTLBI)
 	pgt.SetTLB(hv.tlb, VMIDHyp)
-	pgt.SetTracer(hv.tracer, hv.traceLane)
+	hv.instrument(pgt)
 	hv.hypPGT = pgt
 
 	g := &hv.globals
@@ -295,7 +295,7 @@ func (hv *Hypervisor) initHostS2() error {
 	pgt.SetOnTablePage(liveTableGauge(telHostTablesLive))
 	pgt.SetTLBI(hv.hostTLBI)
 	pgt.SetTLB(hv.tlb, VMIDHost)
-	pgt.SetTracer(hv.tracer, hv.traceLane)
+	hv.instrument(pgt)
 	hv.hostPGT = pgt
 	g := &hv.globals
 	if err := pgt.Annotate(uint64(g.CarveStart), g.CarveSize, IDHyp); err != nil {
@@ -471,3 +471,20 @@ func (hv *Hypervisor) unlockGuest(cpu int, vm *VM) {
 	hv.instr.LockReleasing(cpu, Component{Kind: CompGuest, Handle: vm.Handle})
 	vm.Lock.Unlock()
 }
+
+// instrument attaches one of this system's locks, page tables or TLB
+// to the system's span tracer (trap dispatch here, mutations in
+// pgtable, fills in arch.TLB, checks in ghost; nil stays untraced) and
+// to its preemption domain.
+func (hv *Hypervisor) instrument(x interface {
+	SetTracer(*trace.Tracer, int)
+	SetDomain(*preempt.Domain)
+}) {
+	x.SetTracer(hv.tracer, hv.traceLane)
+	x.SetDomain(&hv.dom)
+}
+
+// Preempt returns the system's preemption domain: the one slot a
+// deterministic scheduler binds (internal/sched) to drive this
+// system's vCPUs. Crossings on every other system stay unscheduled.
+func (hv *Hypervisor) Preempt() *preempt.Domain { return &hv.dom }

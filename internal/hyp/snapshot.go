@@ -265,7 +265,7 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 			donated:   append([]arch.PFN(nil), vs.donated...),
 			Lock:      spinlock.NewRanked("guest:"+vs.handle.String(), LockRankGuest, nil),
 		}
-		vm.Lock.SetTracer(hv.tracer, hv.traceLane)
+		hv.instrument(vm.Lock)
 		for _, vcs := range vs.vcpus {
 			vcpu := &VCPU{
 				Idx:         vcs.idx,
@@ -284,7 +284,7 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 			pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 			pgt.SetTLBI(hv.guestTLBI(vm.VMID))
 			pgt.SetTLB(hv.tlb, vm.VMID)
-			pgt.SetTracer(hv.tracer, hv.traceLane)
+			hv.instrument(pgt)
 			vm.PGT = pgt
 		}
 		hv.vms[i] = vm

@@ -89,7 +89,7 @@ func (l *Litmus) Run(e *Env, s *sched.Scheduler, seeded bool) error {
 	if l.Trace != nil {
 		return randtest.ReplayScheduled(e.D, l.Trace, s)
 	}
-	return s.Run(l.Streams(e, s, seeded)...)
+	return s.Run(e.HV.Preempt(), l.Streams(e, s, seeded)...)
 }
 
 // Suite returns the litmus table. Scenarios use fixed placeholder PFNs

@@ -63,8 +63,7 @@ type Allocator interface {
 	FreeTablePage(arch.PFN)
 }
 
-// Table is a live translation table: a root frame plus the policy
-// needed to grow and shrink it.
+// Table is a live translation table: a root frame plus its growth policy.
 type Table struct {
 	Name  string
 	Mem   *arch.Memory
@@ -99,6 +98,7 @@ type Table struct {
 	// walk (Map/Unmap/Annotate) on lane; see SetTracer.
 	tracer *trace.Tracer
 	lane   int
+	dom    *preempt.Domain // see SetDomain
 }
 
 // SetOnTablePage installs a callback notified after every table-page
@@ -263,8 +263,8 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	if !telemetry.Disabled() {
 		telWalks.Inc()
 	}
-	if preempt.Armed() && v.Fn != nil {
-		// A scheduler is installed: interpose the visitor-step
+	if t.dom.Armed() && v.Fn != nil {
+		// A scheduler is bound: interpose the visitor-step
 		// preemption point in front of every callback, on a copy so the
 		// caller's Visitor is untouched. The point resolves to the
 		// walker's own v.Fn dispatch line — the per-entry granularity
@@ -272,7 +272,7 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 		inner := v.Fn
 		wrapped := *v
 		wrapped.Fn = func(ctx *VisitCtx) error {
-			preempt.FireCaller(preempt.KindVisitorStep)
+			t.dom.FireCaller(preempt.KindVisitorStep)
 			return inner(ctx)
 		}
 		v = &wrapped
@@ -639,3 +639,8 @@ func (t *Table) TablePages() []arch.PFN {
 	}
 	return out
 }
+
+// SetDomain attaches the table to its system's preemption domain:
+// while a scheduler is bound to it, every visitor callback of Walk is
+// a visitor-step point. Install once at construction.
+func (t *Table) SetDomain(d *preempt.Domain) { t.dom = d }

@@ -56,5 +56,5 @@ func ReplayScheduled(d *proxy.Driver, tr *Trace, s *sched.Scheduler) error {
 			}
 		}
 	}
-	return s.Run(fns...)
+	return s.Run(d.HV.Preempt(), fns...)
 }

@@ -137,11 +137,15 @@ func New(n int, opts ...Option) *Scheduler {
 func (s *Scheduler) NCPUs() int { return len(s.cells) }
 
 // Run executes one stream function per vCPU under the scheduler and
-// returns after all of them finish. The error reports replay
+// returns after all of them finish. dom is the preemption domain of
+// the system the streams drive (hyp.Hypervisor.Preempt): Run binds it
+// for its duration, so every point crossing on that system — and only
+// on that system — is a scheduling opportunity for the running vCPU.
+// A nil dom schedules at op boundaries only. The error reports replay
 // validation failures, replay divergence, schedule deadlock
 // (abandonment), or a panic captured from a stream (lock-rank
 // inversions surface here).
-func (s *Scheduler) Run(fns ...func(vcpu int)) error {
+func (s *Scheduler) Run(dom *preempt.Domain, fns ...func(vcpu int)) error {
 	if len(fns) != len(s.cells) {
 		return fmt.Errorf("sched: %d stream functions for %d vCPUs", len(fns), len(s.cells))
 	}
@@ -150,8 +154,10 @@ func (s *Scheduler) Run(fns ...func(vcpu int)) error {
 			return err
 		}
 	}
-	acquireHooks(s)
-	defer releaseHooks(s)
+	if dom != nil {
+		dom.Bind(s)
+		defer dom.Bind(nil)
+	}
 
 	var ready sync.WaitGroup
 	ready.Add(len(fns))
@@ -171,15 +177,13 @@ func (s *Scheduler) Run(fns ...func(vcpu int)) error {
 	return s.err
 }
 
-// vcpuMain is one vCPU goroutine: register for point routing, park at
-// the startup boundary, then run the stream. Panics (most importantly
-// spinlock rank inversions) are captured into the scheduler error —
-// the goroutine's deferred unlocks have already run by then, so the
-// remaining vCPUs can still drain.
+// vcpuMain is one vCPU goroutine: park at the startup boundary, then
+// run the stream. Panics (most importantly spinlock rank inversions)
+// are captured into the scheduler error — the goroutine's deferred
+// unlocks have already run by then, so the remaining vCPUs can still
+// drain.
 func (s *Scheduler) vcpuMain(id int, fn func(int), ready *sync.WaitGroup) {
 	defer s.wg.Done()
-	gid := registerGoroutine(s, id)
-	defer unregisterGoroutine(gid)
 	defer func() {
 		if r := recover(); r != nil {
 			s.notePanic(id, r)
@@ -213,22 +217,28 @@ func (s *Scheduler) Boundary(vcpu int) bool {
 	return ok
 }
 
-// park stops the calling cell at the given point and waits for the
-// token. Called from Boundary and (via the dispatcher) from the
-// preempt hook on every instrumented point crossing.
+// Crossing implements preempt.Scheduler: a point crossing on the
+// bound domain parks the running cell.
+func (s *Scheduler) Crossing(p preempt.Point) { s.park(-1, p.ID) }
+
+// park stops a cell at the given point and waits for the token: cell
+// id from Boundary, the running cell (id < 0) from a crossing.
 func (s *Scheduler) park(id int, point uint64) {
 	s.mu.Lock()
 	if !s.started || s.abandoned {
 		s.mu.Unlock()
 		return
 	}
-	c := &s.cells[id]
-	if c.state != stateRunning {
-		// Defensive: a point fired on this goroutine outside its
-		// running window (should not happen under one-token).
+	if id < 0 {
+		id = s.runningLocked()
+	}
+	if id < 0 || s.cells[id].state != stateRunning {
+		// Defensive: no cell holds the token (should not happen
+		// under one-token).
 		s.mu.Unlock()
 		return
 	}
+	c := &s.cells[id]
 	c.state = stateParked
 	c.point = point
 	s.preemptions++
@@ -243,22 +253,34 @@ func (s *Scheduler) park(id int, point uint64) {
 	s.tracer.Emit(s.lane, spanPreempt, start, d)
 }
 
-// lockContended is called (via the dispatcher) when the calling cell
-// failed a spinlock TryLock. The cell blocks — not grantable — until
-// lockReleased flips it back to parked and a decision grants it.
-// Returns false when the cell should fall back to a plain blocking
-// acquisition (scheduler not started, or abandoned).
-func (s *Scheduler) lockContended(id int, l *spinlock.Lock) bool {
+// runningLocked returns the cell holding the token, or -1. Caller
+// holds s.mu.
+func (s *Scheduler) runningLocked() int {
+	for i := range s.cells {
+		if s.cells[i].state == stateRunning {
+			return i
+		}
+	}
+	return -1
+}
+
+// LockContended implements spinlock.Scheduler: the running cell failed
+// a TryLock on a lock of the bound system. The cell blocks — not
+// grantable — until LockReleased flips it back to parked and a
+// decision grants it. Returns false when the cell should fall back to
+// a plain blocking acquisition (scheduler not started, or abandoned).
+func (s *Scheduler) LockContended(l *spinlock.Lock) bool {
 	s.mu.Lock()
 	if !s.started || s.abandoned {
 		s.mu.Unlock()
 		return false
 	}
-	c := &s.cells[id]
-	if c.state != stateRunning {
+	id := s.runningLocked()
+	if id < 0 {
 		s.mu.Unlock()
 		return false
 	}
+	c := &s.cells[id]
 	c.state = stateBlocked
 	c.point = preempt.PointLockWait
 	c.blocked = l
@@ -287,12 +309,12 @@ func (s *Scheduler) lockContended(id int, l *spinlock.Lock) bool {
 	return true
 }
 
-// lockReleased is called (via the dispatcher) after every spinlock
-// unlock while the scheduler is active: cells blocked on that lock
+// LockReleased implements spinlock.Scheduler, called after every
+// unlock of a lock of the bound system: cells blocked on that lock
 // become grantable again. The releaser is normally still running (the
 // unlock happened mid-stream), in which case no decision is due yet —
 // decideLocked's running-cell check handles that.
-func (s *Scheduler) lockReleased(l *spinlock.Lock) {
+func (s *Scheduler) LockReleased(l *spinlock.Lock) {
 	s.mu.Lock()
 	woke := false
 	for i := range s.cells {

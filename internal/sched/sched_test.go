@@ -30,7 +30,7 @@ func TestSeededScheduleIsDeterministic(t *testing.T) {
 	run := func() ([][2]int, *Schedule) {
 		var log [][2]int
 		s := New(3, WithSeed(42))
-		if err := s.Run(streams(s, 3, 5, &log)...); err != nil {
+		if err := s.Run(nil, streams(s, 3, 5, &log)...); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return log, s.Record()
@@ -53,14 +53,14 @@ func TestSeededScheduleIsDeterministic(t *testing.T) {
 func TestReplayReproducesSchedule(t *testing.T) {
 	var log1 [][2]int
 	s1 := New(2, WithSeed(7))
-	if err := s1.Run(streams(s1, 2, 6, &log1)...); err != nil {
+	if err := s1.Run(nil, streams(s1, 2, 6, &log1)...); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
 	rec := s1.Record()
 
 	var log2 [][2]int
 	s2 := New(2, WithReplay(rec))
-	if err := s2.Run(streams(s2, 2, 6, &log2)...); err != nil {
+	if err := s2.Run(nil, streams(s2, 2, 6, &log2)...); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	if got := s2.Record().String(); got != rec.String() {
@@ -79,7 +79,7 @@ func TestReplayReproducesSchedule(t *testing.T) {
 func TestStaleSchedulePointFailsLoudly(t *testing.T) {
 	sch := &Schedule{Steps: []Step{{VCPU: 0, Point: 0xdeadbeefdeadbeef}}}
 	s := New(1, WithReplay(sch))
-	err := s.Run(func(int) {})
+	err := s.Run(nil, func(int) {})
 	if err == nil {
 		t.Fatal("Run accepted a schedule with an unknown point ID")
 	}
@@ -94,7 +94,7 @@ func TestStaleSchedulePointFailsLoudly(t *testing.T) {
 func TestForcedChoicesRecordArity(t *testing.T) {
 	var log [][2]int
 	s := New(2, WithForcedChoices(nil))
-	if err := s.Run(streams(s, 2, 3, &log)...); err != nil {
+	if err := s.Run(nil, streams(s, 2, 3, &log)...); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	ch := s.Choices()
@@ -119,7 +119,7 @@ func TestForcedChoicesRecordArity(t *testing.T) {
 	// decisions is what makes vCPU 1 execute the first op.
 	var log2 [][2]int
 	s2 := New(2, WithForcedChoices([]int{1, 1}))
-	if err := s2.Run(streams(s2, 2, 3, &log2)...); err != nil {
+	if err := s2.Run(nil, streams(s2, 2, 3, &log2)...); err != nil {
 		t.Fatalf("forced Run: %v", err)
 	}
 	if log2[0] != [2]int{1, 0} {
@@ -128,10 +128,12 @@ func TestForcedChoicesRecordArity(t *testing.T) {
 }
 
 func TestContendedLockHandsOff(t *testing.T) {
+	var dom preempt.Domain
 	l := spinlock.New("test", nil)
+	l.SetDomain(&dom)
 	var order []string
 	s := New(2)
-	err := s.Run(
+	err := s.Run(&dom,
 		func(v int) {
 			s.Boundary(v)
 			l.Lock()
@@ -162,7 +164,7 @@ func TestContendedLockHandsOff(t *testing.T) {
 
 func TestPanicInStreamIsCaptured(t *testing.T) {
 	s := New(2)
-	err := s.Run(
+	err := s.Run(nil,
 		func(v int) { s.Boundary(v) },
 		func(v int) {
 			s.Boundary(v)

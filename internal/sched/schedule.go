@@ -14,6 +14,14 @@
 // That gives the race detector a happens-before edge across every
 // handoff, so shared single-owner state (the replay translation maps,
 // the hypervisor model) is provably serialised.
+//
+// A scheduler is bound to the system it drives, not to goroutines: Run
+// binds the system's preempt.Domain, which the system's spinlocks, TLB
+// and page tables report their crossings to. With one token, a
+// crossing on a bound domain is the running vCPU's, so routing it
+// needs no goroutine identity — no stack introspection, and no
+// process-global hook shared between the concurrent schedulers of
+// campaign workers. Systems nobody schedules never reach a scheduler.
 package sched
 
 import (

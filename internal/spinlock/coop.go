@@ -1,45 +1,41 @@
 package spinlock
 
-import "sync/atomic"
+import "ghostspec/internal/analysis/preempt"
 
 // Scheduler is the cooperative-scheduling protocol a deterministic
-// multi-vCPU scheduler (internal/sched) installs process-wide. Under
-// one-token scheduling exactly one vCPU runs at a time, so a vCPU that
-// blocked on sync.Mutex while the holder sat parked would deadlock;
-// instead a contended acquisition asks the scheduler to park the vCPU
-// and hand the token elsewhere, then retries TryLock when re-granted.
+// multi-vCPU scheduler (internal/sched) implements alongside
+// preempt.Scheduler. It reaches a lock through the lock's preemption
+// domain (SetDomain): while a scheduler is bound to the domain of the
+// lock's system, exactly one vCPU of that system runs at a time, so a
+// vCPU that blocked on sync.Mutex while the holder sat parked would
+// deadlock; instead a contended acquisition asks the scheduler to park
+// the vCPU and hand the token elsewhere, then retries TryLock when
+// re-granted. Locks of unbound systems block on the mutex as usual.
 type Scheduler interface {
 	// LockContended is called when an acquisition of l failed its
-	// TryLock. Returning true means the caller is a scheduled vCPU
-	// that has been parked and re-granted — retry TryLock. Returning
-	// false means the caller is not under this scheduler's control and
-	// should fall back to a blocking acquisition.
+	// TryLock. Returning true means the running vCPU has been parked
+	// and re-granted — retry TryLock. Returning false means the
+	// scheduler is not (or no longer) serialising the system, and the
+	// caller should fall back to a blocking acquisition.
 	LockContended(l *Lock) bool
-	// LockReleased is called after every Unlock of l while a scheduler
-	// is installed, so vCPUs blocked on l can be made runnable again.
+	// LockReleased is called after every Unlock of l while the
+	// scheduler is bound, so vCPUs blocked on l can be made runnable
+	// again.
 	LockReleased(l *Lock)
 }
 
-// coopSched is the installed scheduler; nil outside scheduled
-// sessions, so the plain-blocking fast path costs one atomic load.
-var coopSched atomic.Pointer[Scheduler]
+// SetDomain attaches the lock to its system's preemption domain: its
+// acquire and release points are reported there, and a bound scheduler
+// that implements Scheduler takes over contended acquisitions. Like
+// SetHooks, install once at boot; a lock with no domain is never
+// scheduled.
+func (l *Lock) SetDomain(d *preempt.Domain) { l.dom = d }
 
-// SetScheduler installs the cooperative scheduler (nil uninstalls).
-// Like SetHooks it must not race with itself; internal/sched's
-// dispatcher refcounts concurrent sessions behind one installation.
-func SetScheduler(s Scheduler) {
-	if s == nil {
-		coopSched.Store(nil)
-		return
-	}
-	coopSched.Store(&s)
-}
-
-func loadScheduler() Scheduler {
-	if p := coopSched.Load(); p != nil {
-		return *p
-	}
-	return nil
+// coop returns the cooperative scheduler bound to the lock's domain,
+// or nil.
+func (l *Lock) coop() Scheduler {
+	s, _ := l.dom.Bound().(Scheduler)
+	return s
 }
 
 // lockContended acquires a lock whose TryLock just failed. Scheduled
@@ -47,7 +43,7 @@ func loadScheduler() Scheduler {
 // blocks on the mutex exactly as before.
 func (l *Lock) lockContended() {
 	for {
-		if s := loadScheduler(); s != nil && s.LockContended(l) {
+		if s := l.coop(); s != nil && s.LockContended(l) {
 			if l.mu.TryLock() {
 				return
 			}

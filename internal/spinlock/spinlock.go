@@ -81,6 +81,9 @@ type Lock struct {
 	tracer   *trace.Tracer
 	lane     int
 	waitSpan trace.Name
+
+	// dom is the owning system's preemption domain; see SetDomain.
+	dom *preempt.Domain
 }
 
 // New returns a named lock with the given hooks (which may be nil).
@@ -142,7 +145,7 @@ func (l *Lock) Lock() {
 		// holding the locks in the other order.
 		noteAcquire(l)
 	}
-	preempt.FireCaller(preempt.KindLockAcquire)
+	l.dom.FireCaller(preempt.KindLockAcquire)
 	if l.acquires == nil || telemetry.Disabled() {
 		if !l.mu.TryLock() {
 			l.lockContended()
@@ -181,13 +184,13 @@ func (l *Lock) Unlock() {
 	if rankCheckOn.Load() {
 		noteRelease(l)
 	}
-	preempt.FireCaller(preempt.KindLockRelease)
+	l.dom.FireCaller(preempt.KindLockRelease)
 	if l.hooks != nil && l.hooks.Releasing != nil {
 		l.hooks.Releasing(l.component)
 	}
 	l.held = false
 	l.mu.Unlock()
-	if s := loadScheduler(); s != nil {
+	if s := l.coop(); s != nil {
 		s.LockReleased(l)
 	}
 }
