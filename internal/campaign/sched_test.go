@@ -1,13 +1,13 @@
 package campaign
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/coverage"
 	"ghostspec/internal/faults"
@@ -288,8 +288,12 @@ func TestShrinkScheduledMinimizesPair(t *testing.T) {
 
 // scheduledDigest generates a guided trace of steps ops on a 2-vCPU
 // system, replays it under schedule seed schedSeed on a fresh one, and
-// returns the FNV-1a digest of the recorded (vCPU, point-ID) steps and
-// their count.
+// returns the FNV-1a digest of the recorded steps and their count.
+// Each step is hashed by what its point is, not by its ID (a hash of
+// the source position): the vCPU, the point's kind, component, file
+// and function, and its ordinal among that function's points of the
+// same kind and component. Moving a point's line leaves the digest
+// alone; a crossing that names a different point moves it.
 func scheduledDigest(t *testing.T, seed int64, schedSeed uint64, steps int) (uint64, int) {
 	t.Helper()
 	d, rec, _ := bootScheduled(t, 2)
@@ -305,15 +309,35 @@ func scheduledDigest(t *testing.T, seed int64, schedSeed uint64, steps int) (uin
 	if n := len(rec2.Failures()); n > 0 {
 		t.Fatalf("seed %d sched-seed %d: clean hypervisor raised %d alarms", seed, schedSeed, n)
 	}
+	names := pointNames()
 	h := fnv.New64a()
-	var buf [16]byte
 	rs := s.Record().Steps
 	for _, st := range rs {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(st.VCPU))
-		binary.LittleEndian.PutUint64(buf[8:], st.Point)
-		h.Write(buf[:])
+		name, ok := names[st.Point]
+		if !ok {
+			t.Fatalf("recorded step %s names no known point", st)
+		}
+		fmt.Fprintf(h, "%d|%s\n", st.VCPU, name)
 	}
 	return h.Sum64(), len(rs)
+}
+
+// pointNames maps every point a schedule can record to a name that
+// does not depend on line numbers: "kind|component|file|func|ordinal",
+// the ordinal counting the function's points of the same kind and
+// component in source order.
+func pointNames() map[uint64]string {
+	names := map[uint64]string{
+		preempt.PointBoundary: "boundary",
+		preempt.PointLockWait: "lock-wait",
+	}
+	ordinal := map[string]int{}
+	for _, p := range preempt.Points() { // sorted by (file, line, col)
+		key := fmt.Sprintf("%s|%s|%s|%s", p.Kind, p.Component, p.File, p.Func)
+		names[p.ID] = fmt.Sprintf("%s|%d", key, ordinal[key])
+		ordinal[key]++
+	}
+	return names
 }
 
 // TestScheduleGolden pins the schedules the deterministic scheduler
@@ -328,10 +352,10 @@ func TestScheduleGolden(t *testing.T) {
 		steps     int
 		hash      uint64
 	}{
-		{1, 1, 8155, 0x6a8e0bd80c36d351},
-		{7, 2, 4948, 0x5aa699df56485103},
-		{42, 3, 8114, 0x86271843c485e6d0},
-		{6174, 4, 5855, 0x2486542b3ce8920},
+		{1, 1, 8155, 0xba7ee24aaa2b83b3},
+		{7, 2, 4948, 0xc62383a06025029a},
+		{42, 3, 8114, 0xa795298eb2ba365c},
+		{6174, 4, 5855, 0x5afb1d18f9c4717c},
 	} {
 		hash, steps := scheduledDigest(t, c.seed, c.schedSeed, 400)
 		if steps != c.steps || hash != c.hash {
