@@ -8,6 +8,10 @@ import (
 	"ghostspec/internal/hyp"
 )
 
+// Every crossing of a scheduled run is also resolved from the full
+// stack, and a disagreement with the fast path panics.
+func init() { preempt.VerifyResolution = true }
+
 // recorder is a preempt.Scheduler that logs crossings without parking.
 type recorder struct{ seen []preempt.Point }
 
@@ -51,10 +55,11 @@ func TestDomainCrossings(t *testing.T) {
 	}
 
 	var nilDom *preempt.Domain
-	if nilDom.Armed() || nilDom.Bound() != nil {
+	if nilDom.Bound() != nil {
 		t.Fatal("nil domain reports a scheduler")
 	}
 	nilDom.FireCaller(preempt.KindLockAcquire) // must not panic
+	nilDom.Fire(&preempt.ByKind(preempt.KindVisitorStep)[0])
 
 	hv.Preempt().Bind(&r)
 	defer hv.Preempt().Bind(nil)
@@ -68,8 +73,11 @@ func TestDomainCrossings(t *testing.T) {
 
 // TestCrossingAllocationFree pins the cost of a crossing: on a bound
 // domain with a warm memo it allocates nothing, and unbound it is
-// a single atomic load.
+// a single atomic load. The full-stack twin symbolizes every crossing,
+// so it is off here.
 func TestCrossingAllocationFree(t *testing.T) {
+	preempt.VerifyResolution = false
+	defer func() { preempt.VerifyResolution = true }()
 	hv := boot(t)
 	r := &recorder{seen: make([]preempt.Point, 0, 1024)}
 	hv.Preempt().Bind(r)

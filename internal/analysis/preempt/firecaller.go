@@ -3,7 +3,6 @@ package preempt
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 )
@@ -65,74 +64,138 @@ func buildFrameIndex() {
 	}
 }
 
+// prefixDepth is how many PCs FireCaller unwinds: the crossing's
+// caller and the frames above it. The deepest resolution in the module
+// needs four: a TLBI reaches the arch TLB through the component's
+// invalidation callback and pgtable's notifyTLBI before the outermost
+// matching frame, mutateRange's break-before-make line. Two more
+// frames are margin for one extra helper level on either side; a
+// crossing whose point lies past the prefix is caught by the
+// full-stack twin (VerifyResolution), which CI runs with inlining on
+// and off.
+const prefixDepth = 6
+
+// VerifyResolution, when set, makes every crossing of a bound domain
+// also resolve its point from the full call stack with resolveFrames
+// and panic if the two disagree — the differential twin of FireCaller's
+// fixed-depth prefix and of the static points passed to Fire. Set it
+// before any domain is bound (a test package's init).
+var VerifyResolution bool
+
 // FireCaller reports to d's bound scheduler a crossing of the table
-// point of the given kind found on the calling stack. The
-// instrumentation primitives (spinlock Lock/Unlock, the arch TLB
-// invalidations, the pgtable visitor dispatch) call it on the domain
-// of the system they belong to: the event's table identity is the
-// *call site* — possibly several frames up, through the hypervisor's
-// lock helpers — and resolving it from the stack keeps the primitives'
-// own source files out of the table's content addressing.
+// point of the given kind found on the calling stack. The spinlock
+// Lock/Unlock and the arch TLB invalidations call it on the domain of
+// the system they belong to: the event's table identity is the *call
+// site* — possibly several frames up, through the hypervisor's lock
+// helpers and the page tables' invalidation callbacks — and resolving
+// it from the stack keeps the primitives' own source files out of the
+// table's content addressing.
 //
-// Unbound (or nil) this is one atomic load. Bound, it is one stack
-// unwind plus one memo probe (see resolve).
+// Unbound (or nil) this is one atomic load. Bound, it is an unwind of
+// prefixDepth PCs plus one memo probe (see resolve).
 func (d *Domain) FireCaller(kind Kind) {
 	s := d.Bound()
 	if s == nil {
 		return
 	}
-	var pcs [32]uintptr
+	var pcs [prefixDepth]uintptr
 	n := runtime.Callers(2, pcs[:])
-	if p := resolve(kind, pcs[:n]); p != nil {
+	p := resolve(kind, &pcs, n)
+	if VerifyResolution {
+		verifyResolution(kind, p)
+	}
+	if p != nil {
 		s.Crossing(*p)
 	}
 }
 
-// memoKey is a resolution's memo slot: the point kind and an FNV-1a
-// hash of the call stack's PCs. Entries sharing a slot are told apart
-// by their stored PCs.
+// Fire reports a crossing of the known point p to d's bound scheduler,
+// with no unwind: for call sites whose table point is fixed, like the
+// pgtable walker's visitor dispatches. Under VerifyResolution the
+// caller's stack must resolve to p too. Unbound (or nil) this is one
+// atomic load.
+func (d *Domain) Fire(p *Point) {
+	if d != nil && d.bound.Load() != nil {
+		d.fire(p)
+	}
+}
+
+// fire is Fire's bound path, kept out of line so that the unbound path
+// inlines into the page-table walker's dispatch.
+func (d *Domain) fire(p *Point) {
+	s := d.Bound()
+	if s == nil {
+		return // unbound since the check
+	}
+	if VerifyResolution {
+		verifyResolution(p.Kind, p)
+	}
+	s.Crossing(*p)
+}
+
+// memoKey is a resolution's memo slot: the point kind and the
+// prefixDepth-PC stack prefix (zero-padded when the stack is shorter).
 type memoKey struct {
 	kind Kind
-	hash uint64
+	pcs  [prefixDepth]uintptr
 }
 
-type memoEntry struct {
-	pcs []uintptr
-	p   *Point // nil: no table point of the kind on this stack
-}
-
-// memo is read-mostly: a program has a bounded set of call stacks
-// that reach a preemption point, each resolved once.
+// memo is read-mostly: a program has a bounded set of call-stack
+// prefixes that reach a preemption point, each resolved once.
 var (
 	memoMu sync.RWMutex
-	memo   = map[memoKey][]memoEntry{}
+	memo   = map[memoKey]*Point{}
 )
 
-// resolve returns the table point of the given kind on the call stack
-// pcs, or nil. The same PCs always symbolize to the same frames, so a
-// stack's resolution is memoized by its PCs; a miss symbolizes it with
-// resolveFrames.
-func resolve(kind Kind, pcs []uintptr) *Point {
-	h := uint64(14695981039346656037)
-	for _, pc := range pcs {
-		h = (h ^ uint64(pc)) * 1099511628211
-	}
-	k := memoKey{kind, h}
+// resolve returns the table point of the given kind among the first n
+// of pcs, or nil. The same PCs always symbolize to the same frames, so
+// a prefix's resolution is memoized by its PCs; a miss symbolizes it
+// with resolveFrames.
+func resolve(kind Kind, pcs *[prefixDepth]uintptr, n int) *Point {
+	k := memoKey{kind, *pcs}
 	memoMu.RLock()
-	for _, e := range memo[k] {
-		if slices.Equal(e.pcs, pcs) {
-			memoMu.RUnlock()
-			return e.p
-		}
-	}
+	p, ok := memo[k]
 	memoMu.RUnlock()
-	own := make([]uintptr, len(pcs)) // the caller's array stays on its stack
-	copy(own, pcs)
-	p := resolveFrames(kind, own)
+	if !ok {
+		p = resolveMiss(k, n)
+	}
+	return p
+}
+
+// resolveMiss resolves k from its own copy of the PCs (symbolizing
+// lets them escape; the caller's array stays on its stack).
+func resolveMiss(k memoKey, n int) *Point {
+	p := resolveFrames(k.kind, k.pcs[:n])
 	memoMu.Lock()
-	memo[k] = append(memo[k], memoEntry{pcs: own, p: p})
+	memo[k] = p
 	memoMu.Unlock()
 	return p
+}
+
+// verifyResolution resolves the crossing's point from the full stack
+// above its caller and panics unless it is got. (The frames of this
+// package between the crossing's call site and here name no point.)
+func verifyResolution(kind Kind, got *Point) {
+	var pcs [64]uintptr
+	n := runtime.Callers(3, pcs[:])
+	if want := resolveFrames(kind, pcs[:n]); pointID(want) != pointID(got) {
+		panic(fmt.Sprintf("preempt: %s crossing resolved to %s, but the full stack names %s",
+			kind, describe(got), describe(want)))
+	}
+}
+
+func pointID(p *Point) uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.ID
+}
+
+func describe(p *Point) string {
+	if p == nil {
+		return "no point"
+	}
+	return fmt.Sprintf("%s:%d (%s)", p.File, p.Line, p.Func)
 }
 
 // resolveFrames symbolizes pcs and returns the matching table point.

@@ -138,8 +138,3 @@ func (d *Domain) Bound() Scheduler {
 	}
 	return nil
 }
-
-// Armed reports whether a scheduler is bound. Call sites whose
-// instrumentation has a per-call setup cost (the pgtable walker wraps
-// its visitor) use it to skip that cost on unscheduled systems.
-func (d *Domain) Armed() bool { return d.Bound() != nil }

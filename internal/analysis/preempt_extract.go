@@ -64,9 +64,14 @@ func PointID(kind, file string, line, col int) uint64 {
 // preemption-point table, sorted by (file, line, col, kind).
 //
 // Exclusions: testdata trees (not part of the program), the generated
-// preempt package itself, and — for the TLBI kind only, matching
-// bbmcheck — internal/arch, which implements the TLB rather than
-// invoking it.
+// preempt package itself, internal/arch for the TLBI kind only
+// (matching bbmcheck: it implements the TLB rather than invoking it),
+// and deferred calls. A deferred call runs from the function's
+// return, so no frame is ever at its `defer` line and the point could
+// never be crossed: `defer hv.unlockVMs(cpu)` is crossed at the
+// helper's own release line, a bare `defer l.Unlock()` not at all.
+// The arguments of a deferred call are evaluated at the defer line
+// and still count.
 func ExtractPreemptPoints(u *Universe, modRoot string) []PreemptPoint {
 	var pts []PreemptPoint
 	for _, pkg := range u.Pkgs {
@@ -81,9 +86,13 @@ func ExtractPreemptPoints(u *Universe, modRoot string) []PreemptPoint {
 				if !ok || fd.Body == nil {
 					continue
 				}
+				deferred := map[*ast.CallExpr]bool{}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if d, ok := n.(*ast.DeferStmt); ok {
+						deferred[d.Call] = true
+					}
 					call, ok := n.(*ast.CallExpr)
-					if !ok {
+					if !ok || deferred[call] {
 						return true
 					}
 					if kind, comp, ok := classifyPoint(pkg, call, isArch); ok {
@@ -182,7 +191,8 @@ func RenderPreemptGo(pts []PreemptPoint) []byte {
 	b.WriteString("\n")
 	b.WriteString("// generatedPoints is the statically-extracted preemption-point\n")
 	b.WriteString("// table: every lock acquire/release, TLBI emission, and pgtable\n")
-	b.WriteString("// visitor step in the module. Regenerate with\n")
+	b.WriteString("// visitor step in the module that is not a deferred call.\n")
+	b.WriteString("// Regenerate with\n")
 	b.WriteString("//\n")
 	b.WriteString("//\tgo run ./cmd/ghostlint -write-preempt\n")
 	b.WriteString("var generatedPoints = []Point{\n")

@@ -263,21 +263,30 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	if !telemetry.Disabled() {
 		telWalks.Inc()
 	}
-	if t.dom.Armed() && v.Fn != nil {
-		// A scheduler is bound: interpose the visitor-step
-		// preemption point in front of every callback, on a copy so the
-		// caller's Visitor is untouched. The point resolves to the
-		// walker's own v.Fn dispatch line — the per-entry granularity
-		// the preemption-point table records.
-		inner := v.Fn
-		wrapped := *v
-		wrapped.Fn = func(ctx *VisitCtx) error {
-			t.dom.FireCaller(preempt.KindVisitorStep)
-			return inner(ctx)
-		}
-		v = &wrapped
-	}
 	return t.walkLevel(t.root, arch.StartLevel, ia, ia+size, v)
+}
+
+// The walker's visitor-step points: walkLevel's three v.Fn dispatch
+// lines, in source order. They are the table's only visitor-step
+// points, and a visitor callback never starts a nested walk, so each
+// dispatch names its own line — the point a full-stack resolution
+// finds too (TestVisitorStepPoints checks both under the twin).
+var stepPre, stepPost, stepLeaf = visitorSteps()
+
+func visitorSteps() (pre, post, leaf *preempt.Point) {
+	pts := preempt.ByKind(preempt.KindVisitorStep)
+	if len(pts) != 3 {
+		panic(fmt.Sprintf("pgtable: the preemption table has %d visitor-step points, want walkLevel's 3 (run ghostlint -write-preempt)", len(pts)))
+	}
+	return &pts[0], &pts[1], &pts[2]
+}
+
+// step crosses visitor-step point p and passes ctx through. It is
+// called in the argument of a v.Fn dispatch, so the crossing happens
+// on the line p names, before the callback runs.
+func (t *Table) step(p *preempt.Point, ctx *VisitCtx) *VisitCtx {
+	t.dom.Fire(p)
+	return ctx
 }
 
 func (t *Table) walkLevel(table arch.PhysAddr, level int, ia, end uint64, v *Visitor) error {
@@ -302,7 +311,7 @@ func (t *Table) walkLevel(table arch.PhysAddr, level int, ia, end uint64, v *Vis
 		}
 		if pte.Kind(level) == arch.EKTable {
 			if v.Flags&VisitTablePre != 0 {
-				if err := v.Fn(ctx); err != nil {
+				if err := v.Fn(t.step(stepPre, ctx)); err != nil {
 					return err
 				}
 			}
@@ -313,13 +322,13 @@ func (t *Table) walkLevel(table arch.PhysAddr, level int, ia, end uint64, v *Vis
 					return err
 				}
 				if v.Flags&VisitTablePost != 0 {
-					if err := v.Fn(ctx); err != nil {
+					if err := v.Fn(t.step(stepPost, ctx)); err != nil {
 						return err
 					}
 				}
 			}
 		} else if v.Flags&VisitLeaf != 0 {
-			if err := v.Fn(ctx); err != nil {
+			if err := v.Fn(t.step(stepLeaf, ctx)); err != nil {
 				return err
 			}
 		}

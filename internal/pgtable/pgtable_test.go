@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 	"ghostspec/internal/mem"
 )
@@ -619,5 +620,78 @@ func TestTLBICoversBrokenBlock(t *testing.T) {
 	g = rec.take()
 	if len(g) != 1 || g[0] != (tlbiEvent{0x4020_0000, arch.LevelSize(2)}) {
 		t.Errorf("subtree unmap notified %v", g)
+	}
+}
+
+// stepLog is a preempt.Scheduler that logs crossings without parking.
+type stepLog struct{ seen []preempt.Point }
+
+func (l *stepLog) Crossing(p preempt.Point) { l.seen = append(l.seen, p) }
+
+// TestVisitorStepPoints checks the walker's static visitor-step
+// points: they are exactly the table's visitor-step points, and with
+// the full-stack twin on, each dispatch (pre, post, leaf) crosses the
+// point a resolution of its call stack names. Reordering the
+// dispatches in walkLevel hands a dispatch another line's point, and
+// the twin panics.
+func TestVisitorStepPoints(t *testing.T) {
+	static := map[uint64]bool{stepPre.ID: true, stepPost.ID: true, stepLeaf.ID: true}
+	pts := preempt.ByKind(preempt.KindVisitorStep)
+	if len(static) != 3 || len(pts) != 3 {
+		t.Fatalf("%d distinct static points, %d in the table; want 3 and 3", len(static), len(pts))
+	}
+	for _, p := range pts {
+		if !static[p.ID] || p.File != "internal/pgtable/pgtable.go" || p.Func != "walkLevel" {
+			t.Errorf("table point %+v is not one of walkLevel's dispatches", p)
+		}
+	}
+
+	preempt.VerifyResolution = true
+	defer func() { preempt.VerifyResolution = false }()
+	tbl, _ := newTestTable(t, 3)
+	for _, ia := range []uint64{0x4000_0000, 0x4000_5000, 0x8020_0000} {
+		if err := tbl.Map(ia, arch.PageSize, arch.PhysAddr(ia), normRWX, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dom preempt.Domain
+	var log stepLog
+	tbl.SetDomain(&dom)
+	dom.Bind(&log)
+	defer dom.Bind(nil)
+	for _, c := range []struct {
+		name  string
+		flags WalkFlags
+		want  *preempt.Point
+	}{
+		{"VisitTablePre", VisitTablePre, stepPre},
+		{"VisitTablePost", VisitTablePost, stepPost},
+		{"VisitLeaf", VisitLeaf, stepLeaf},
+	} {
+		log.seen = log.seen[:0]
+		calls := 0
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: %v", c.name, r)
+				}
+			}()
+			err := tbl.Walk(0x4000_0000, 1<<30+2<<20, &Visitor{Flags: c.flags, Fn: func(*VisitCtx) error {
+				calls++
+				return nil
+			}})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}()
+		if calls == 0 || len(log.seen) != calls {
+			t.Errorf("%s: %d callbacks, %d crossings", c.name, calls, len(log.seen))
+		}
+		for _, p := range log.seen {
+			if p != *c.want {
+				t.Errorf("%s crossed %s:%d, want %s:%d", c.name, p.File, p.Line, c.want.File, c.want.Line)
+				break
+			}
+		}
 	}
 }

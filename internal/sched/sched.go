@@ -355,7 +355,8 @@ func (s *Scheduler) decideLocked() {
 		return
 	}
 	done := 0
-	var grantable []int
+	var buf [8]int // the grantable set, on the stack for up to 8 vCPUs
+	grantable := buf[:0]
 	for i := range s.cells {
 		switch s.cells[i].state {
 		case stateRunning:

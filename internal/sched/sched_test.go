@@ -8,6 +8,10 @@ import (
 	"ghostspec/internal/spinlock"
 )
 
+// Every crossing of a scheduled run is also resolved from the full
+// stack, and a disagreement with the fast path panics.
+func init() { preempt.VerifyResolution = true }
+
 // streams returns n stream functions that each append (vcpu, step) to
 // a shared log at every op boundary — shared state that is only safe
 // because one-token scheduling serialises it.
@@ -190,5 +194,36 @@ func TestScheduleStepString(t *testing.T) {
 	st := Step{VCPU: 2, Point: pts[0].ID}
 	if !strings.Contains(st.String(), ":") {
 		t.Fatalf("table step %q does not carry file:line", st)
+	}
+}
+
+// TestDecisionAllocationFree pins a scheduling decision's cost: with
+// every cell parked, picking one and handing it the token allocates
+// nothing (the grantable set lives on the stack). The record is
+// presized so its amortized growth stays out of the count.
+func TestDecisionAllocationFree(t *testing.T) {
+	s := New(4, WithSeed(1))
+	s.started = true
+	s.record = make([]Step, 0, 1024)
+	n := testing.AllocsPerRun(500, func() {
+		s.mu.Lock()
+		for i := range s.cells {
+			s.cells[i].state = stateParked
+		}
+		s.record = s.record[:0]
+		s.decideLocked()
+		s.mu.Unlock()
+		for i := range s.cells {
+			select {
+			case <-s.cells[i].grant:
+			default:
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("a decision allocates %v times", n)
+	}
+	if len(s.record) != 1 {
+		t.Fatalf("decision recorded %d steps, want 1", len(s.record))
 	}
 }
