@@ -31,6 +31,11 @@
 //     and the next valid store to the same entry (make) a TLBI must be
 //     emitted, and valid entries are never overwritten in place — the
 //     static twin of the ghost oracle's FailStaleTLB check.
+//   - preemptcheck: every lock, TLBI and page-table visitor-step call
+//     passes its preemption point, a variable declared with
+//     preempt.At whose kind, component, function and ordinal are those
+//     of the one call it is passed at — the deterministic scheduler's
+//     point table is these calls.
 //
 // Annotation grammar (on a function's doc comment):
 //
@@ -92,6 +97,7 @@ func Analyzers() []Analyzer {
 		&PTECheck{},
 		&TelemetryCheck{},
 		&SnapshotCheck{},
+		&PreemptCheck{},
 	}
 }
 

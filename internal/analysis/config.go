@@ -101,12 +101,12 @@ func classifyLockCall(pkg *Package, call *ast.CallExpr) (op lockOp, comp string,
 	}
 	name := sel.Sel.Name
 	switch name {
-	case "Lock", "TryLock", "Unlock":
+	case "Lock", "LockAt", "TryLock", "Unlock", "UnlockAt":
 		if !isSpinlockExpr(pkg, sel.X) {
 			return opNone, "", false
 		}
 		comp, ranked = lockComponent(sel.X)
-		if name == "Unlock" {
+		if name == "Unlock" || name == "UnlockAt" {
 			return opRelease, comp, ranked
 		}
 		return opAcquire, comp, ranked

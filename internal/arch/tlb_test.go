@@ -38,7 +38,7 @@ func TestTLBHitServesStaleTranslation(t *testing.T) {
 	}
 
 	// After the TLBI the next walk misses and sees the new leaf.
-	tlb.InvalidateIPA(1, 0x0)
+	tlb.InvalidateIPA(nil, 1, 0x0)
 	if tlb.Len() != 0 {
 		t.Errorf("Len = %d after invalidate", tlb.Len())
 	}
@@ -88,7 +88,7 @@ func TestTLBInvalidateRangeCoversBlocks(t *testing.T) {
 	// A page-granule TLBI for a *different* page the block covers must
 	// still drop the entry: invalidation matches leaf coverage, not the
 	// filling address.
-	tlb.InvalidateIPA(1, 0x20_0000+17*PageSize)
+	tlb.InvalidateIPA(nil, 1, 0x20_0000+17*PageSize)
 	if tlb.Len() != 0 {
 		t.Errorf("block entry survived a TLBI inside its range (Len %d)", tlb.Len())
 	}
@@ -97,7 +97,7 @@ func TestTLBInvalidateRangeCoversBlocks(t *testing.T) {
 	if _, f := tlbWalk(tlb, root, 1, 0x20_0000); f != nil {
 		t.Fatalf("refill walk faulted: %v", f)
 	}
-	tlb.InvalidateIPA(1, 0x20_0000+LevelSize(2))
+	tlb.InvalidateIPA(nil, 1, 0x20_0000+LevelSize(2))
 	if tlb.Len() != 1 {
 		t.Errorf("TLBI outside the block dropped it (Len %d)", tlb.Len())
 	}
@@ -119,14 +119,14 @@ func TestTLBInvalidateVMIDAndAll(t *testing.T) {
 	if tlb.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tlb.Len())
 	}
-	tlb.InvalidateVMID(1)
+	tlb.InvalidateVMID(nil, 1)
 	if tlb.Len() != 2 {
 		t.Errorf("Len = %d after InvalidateVMID(1), want 2", tlb.Len())
 	}
 	if _, _, ok := tlb.LookupLeaf(root, Stage2, 2, 0x0); !ok {
 		t.Error("vmid 2 entry lost to vmid 1's TLBI")
 	}
-	tlb.InvalidateAll()
+	tlb.InvalidateAll(nil)
 	if tlb.Len() != 0 {
 		t.Errorf("Len = %d after InvalidateAll", tlb.Len())
 	}
@@ -153,7 +153,7 @@ func TestTLBPermissionFaultStillCaches(t *testing.T) {
 		t.Errorf("cached exec fault = %+v", f)
 	}
 	// Faulting (invalid) walks are not cached.
-	tlb.InvalidateAll()
+	tlb.InvalidateAll(nil)
 	if _, f := tlbWalk(tlb, root, 1, 0x5000); f == nil {
 		t.Fatal("translation fault expected")
 	}
@@ -195,9 +195,9 @@ func TestTLBConcurrentFillsVsTLBI(t *testing.T) {
 		i := round % pages
 		m.WritePTE(l3, i, 0) // break
 		if round%16 == 0 {
-			tlb.InvalidateVMID(1)
+			tlb.InvalidateVMID(nil, 1)
 		} else {
-			tlb.InvalidateIPA(1, uint64(i)<<PageShift)
+			tlb.InvalidateIPA(nil, 1, uint64(i)<<PageShift)
 		}
 		if stale := tlb.CheckCoherence(1); len(stale) != 0 {
 			stop.Store(true)
@@ -269,7 +269,7 @@ func TestTLBOtherVMIDsUntouched(t *testing.T) {
 	if len(stale) != 2 || !strings.Contains(stale[0], "ia 0x1000:") || !strings.Contains(stale[1], "ia 0x0:") {
 		t.Fatalf("stale reports = %q, want ia 0x1000 then ia 0x0 (fill order)", stale)
 	}
-	tlb.InvalidateRange(1, 0, 1<<30)
+	tlb.InvalidateRange(nil, 1, 0, 1<<30)
 	if tlb.Len() != 3 {
 		t.Fatalf("Len = %d, want vmid 2's 3 entries", tlb.Len())
 	}
@@ -376,10 +376,10 @@ func TestTLBNilIsDisabled(t *testing.T) {
 	if _, _, ok := tlb.LookupLeaf(0x9000_0000, Stage2, 1, 0x0); ok {
 		t.Error("nil TLB reported a hit")
 	}
-	tlb.InvalidateIPA(1, 0x0)
-	tlb.InvalidateRange(1, 0x0, PageSize)
-	tlb.InvalidateVMID(1)
-	tlb.InvalidateAll()
+	tlb.InvalidateIPA(nil, 1, 0x0)
+	tlb.InvalidateRange(nil, 1, 0x0, PageSize)
+	tlb.InvalidateVMID(nil, 1)
+	tlb.InvalidateAll(nil)
 	if tlb.Len() != 0 {
 		t.Error("nil TLB has entries")
 	}

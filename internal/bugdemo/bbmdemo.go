@@ -1,8 +1,11 @@
 package bugdemo
 
 import (
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 )
+
+var missingTLBIRemapTLBI = preempt.At(preempt.KindTLBI, "", "MissingTLBIRemap", 0)
 
 // MissingTLBIRemap is a deliberately seeded violation of the Armv8
 // break-before-make discipline documented in docs/ANALYSIS.md: it
@@ -25,5 +28,5 @@ func MissingTLBIRemap(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, idx in
 	m.WritePTE(table, idx, arch.MakeLeaf(arch.LastLevel, newPA, arch.Attrs{})) //ghostlint:ignore bbmcheck deliberately seeded missing-TLBI remap (make after break), kept as the bbmcheck regression demo
 	// The invalidation arrives only after the new descriptor is live —
 	// too late: a walk between the two stores caches the stale entry.
-	tlb.InvalidateRange(0, 0, arch.PageSize)
+	tlb.InvalidateRange(missingTLBIRemapTLBI, 0, 0, arch.PageSize)
 }

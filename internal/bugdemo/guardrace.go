@@ -1,8 +1,11 @@
 package bugdemo
 
 import (
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/hyp"
 )
+
+var guardedRaceReadLockVMs = preempt.At(preempt.KindLockAcquire, "vms", "GuardedRaceRead", 0)
 
 // reclaimShadow models a shared component the way the hypervisor
 // declares its own: a field annotated //ghost:guards with the
@@ -32,7 +35,7 @@ type reclaimShadow struct {
 // It must never be called from real hypercall or oracle code.
 func GuardedRaceRead(hv *hyp.Hypervisor, s *reclaimShadow) int {
 	racy := s.pending //ghostlint:ignore guardcheck deliberately seeded guarded-field race (vms-guarded read with no lock), kept as the guardcheck regression demo
-	hv.VMTableLock().Lock()
+	hv.VMTableLock().LockAt(guardedRaceReadLockVMs)
 	defer hv.VMTableLock().Unlock()
 	return racy + s.pending
 }

@@ -1,7 +1,13 @@
 package bugdemo
 
 import (
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/hyp"
+)
+
+var (
+	lockOrderInversionLockGuest = preempt.At(preempt.KindLockAcquire, "guest", "LockOrderInversion", 0)
+	lockOrderInversionLockVMs   = preempt.At(preempt.KindLockAcquire, "vms", "LockOrderInversion", 0)
 )
 
 // LockOrderInversion is a deliberately seeded violation of the lock
@@ -20,9 +26,9 @@ import (
 //
 // It must never be called from real hypercall or oracle code.
 func LockOrderInversion(hv *hyp.Hypervisor, vm *hyp.VM) {
-	vm.Lock.Lock()
+	vm.Lock.LockAt(lockOrderInversionLockGuest)
 	defer vm.Lock.Unlock()
-	hv.VMTableLock().Lock() //ghostlint:ignore lockcheck deliberately seeded rank inversion (guest before vms), kept as the ghostlint and rank-validator regression demo
+	hv.VMTableLock().LockAt(lockOrderInversionLockVMs) //ghostlint:ignore lockcheck deliberately seeded rank inversion (guest before vms), kept as the ghostlint and rank-validator regression demo
 	defer hv.VMTableLock().Unlock()
 	// A legal use while (incorrectly ordered but) held: the vms lock
 	// does protect the snapshot read itself.

@@ -89,7 +89,7 @@ const RunBudget = 256
 // scripted event queue. Test-harness machinery (the guest image);
 // callers must not race it with a running vCPU.
 func (hv *Hypervisor) LoadGuestProgram(handle Handle, idx int, prog []Insn) bool {
-	hv.vmsLock.Lock()
+	hv.vmsLock.LockAt(loadGuestProgramLockVMs)
 	defer hv.vmsLock.Unlock()
 	vm := hv.lookupVM(handle)
 	if vm == nil || idx < 0 || idx >= vm.NrVCPUs {

@@ -19,11 +19,11 @@ func (hv *Hypervisor) hostShareHyp(cpu int, pfn arch.PFN) Errno {
 		return EINVAL
 	}
 
-	hv.lockHost(cpu)
-	hv.lockHyp(cpu)
+	hv.lockHost(cpu, hostShareHypLockHost)
+	hv.lockHyp(cpu, hostShareHypLockHyp)
 	defer func() {
-		hv.unlockHyp(cpu)
-		hv.unlockHost(cpu)
+		hv.unlockHyp(cpu, hostShareHypUnlockHyp)
+		hv.unlockHost(cpu, hostShareHypUnlockHost)
 	}()
 	return hv.doShareHyp(ipa, hypVA, phys)
 }
@@ -77,14 +77,14 @@ func (hv *Hypervisor) hostUnshareHyp(cpu int, pfn arch.PFN) Errno {
 		return EINVAL
 	}
 
-	hv.lockHost(cpu)
-	hv.lockHyp(cpu)
+	hv.lockHost(cpu, hostUnshareHypLockHost)
+	hv.lockHyp(cpu, hostUnshareHypLockHyp)
 	// Deferred (not inline) unlocks: doUnshareHyp can reach hypPanic
 	// on a host/hyp state mismatch, and the panic must not leak the
 	// locks past the trap handler's recovery point.
 	defer func() {
-		hv.unlockHyp(cpu)
-		hv.unlockHost(cpu)
+		hv.unlockHyp(cpu, hostUnshareHypUnlockHyp)
+		hv.unlockHost(cpu, hostUnshareHypUnlockHost)
 	}()
 	return hv.doUnshareHyp(cpu, ipa, hypVA)
 }
@@ -167,11 +167,11 @@ func (hv *Hypervisor) hostDonateHyp(cpu int, pfn arch.PFN, nr uint64) Errno {
 	}
 	ipa := arch.IPA(phys)
 
-	hv.lockHost(cpu)
-	hv.lockHyp(cpu)
+	hv.lockHost(cpu, hostDonateHypLockHost)
+	hv.lockHyp(cpu, hostDonateHypLockHyp)
 	defer func() {
-		hv.unlockHyp(cpu)
-		hv.unlockHost(cpu)
+		hv.unlockHyp(cpu, hostDonateHypUnlockHyp)
+		hv.unlockHost(cpu, hostDonateHypUnlockHost)
 	}()
 
 	if ret := hv.hostCheckState(ipa, size, arch.StateOwned); ret != OK {
@@ -200,11 +200,11 @@ func (hv *Hypervisor) hostReclaimPage(cpu int, pfn arch.PFN) Errno {
 	phys := pfn.Phys()
 	ipa := arch.IPA(phys)
 
-	hv.lockVMs(cpu)
-	hv.lockHost(cpu)
+	hv.lockVMs(cpu, hostReclaimPageLockVMs)
+	hv.lockHost(cpu, hostReclaimPageLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockVMs(cpu)
+		hv.unlockHost(cpu, hostReclaimPageUnlockHost)
+		hv.unlockVMs(cpu, hostReclaimPageUnlockVMs)
 	}()
 
 	i, ok := slices.BinarySearch(hv.reclaimable, pfn)
@@ -232,8 +232,8 @@ func (hv *Hypervisor) handleHostMemAbort(cpu int) {
 	pc := hv.percpu[cpu]
 	pc.LastAbortInjected = false
 
-	hv.lockHost(cpu)
-	defer hv.unlockHost(cpu)
+	hv.lockHost(cpu, handleHostMemAbortLockHost)
+	defer hv.unlockHost(cpu, nil)
 
 	pte, level := hv.hostPGT.GetLeaf(uint64(ipa))
 	own := hostOwnership(pte, level)

@@ -45,11 +45,11 @@ func (hv *Hypervisor) initVM(cpu int, nrVCPUs int, donPFN arch.PFN, donNr uint64
 		return int64(EINVAL)
 	}
 
-	hv.lockVMs(cpu)
-	hv.lockHost(cpu)
+	hv.lockVMs(cpu, initVMLockVMs)
+	hv.lockHost(cpu, initVMLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockVMs(cpu)
+		hv.unlockHost(cpu, initVMUnlockHost)
+		hv.unlockVMs(cpu, initVMUnlockVMs)
 	}()
 
 	slot := -1
@@ -106,8 +106,8 @@ func (hv *Hypervisor) initVM(cpu int, nrVCPUs int, donPFN arch.PFN, donNr uint64
 // initVCPU implements __pkvm_init_vcpu: marks one of the VM's vCPUs
 // ready to load.
 func (hv *Hypervisor) initVCPU(cpu int, handle Handle, idx int) Errno {
-	hv.lockVMs(cpu)
-	defer hv.unlockVMs(cpu)
+	hv.lockVMs(cpu, initVCPULockVMs)
+	defer hv.unlockVMs(cpu, nil)
 
 	vm := hv.lookupVM(handle)
 	if vm == nil || vm.State != VMActive {
@@ -129,8 +129,8 @@ func (hv *Hypervisor) initVCPU(cpu int, handle Handle, idx int) Errno {
 // reserves, and guest-owned memory — into the reclaim set the host
 // drains with host_reclaim_page.
 func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
-	hv.lockVMs(cpu)
-	defer hv.unlockVMs(cpu)
+	hv.lockVMs(cpu, teardownVMLockVMs)
+	defer hv.unlockVMs(cpu, nil)
 
 	vm := hv.lookupVM(handle)
 	if vm == nil || vm.State != VMActive {
@@ -142,7 +142,7 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 		}
 	}
 
-	hv.lockGuest(cpu, vm)
+	hv.lockGuest(cpu, vm, teardownVMLockGuest)
 	// Guest-owned data pages: everything the guest stage 2 maps.
 	freed := guestMappedFrames(vm)
 	// The table pages themselves (donation- and memcache-sourced).
@@ -153,8 +153,8 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 	// break-before-make TLBIs fired: the whole regime is invalidated
 	// by VMID instead (TLBI VMALLS12E1IS), still under the guest lock
 	// so no new walk of the dead table can refill behind it.
-	hv.tlb.InvalidateVMID(vm.VMID)
-	hv.unlockGuest(cpu, vm)
+	hv.tlb.InvalidateVMID(teardownVMTLBI, vm.VMID)
+	hv.unlockGuest(cpu, vm, teardownVMUnlockGuest)
 
 	for _, vcpu := range vm.VCPUs {
 		freed = append(freed, vcpu.MC.Drain()...)
@@ -178,8 +178,8 @@ func (hv *Hypervisor) vcpuLoad(cpu int, handle Handle, idx int) Errno {
 		return EBUSY
 	}
 
-	hv.lockVMs(cpu)
-	defer hv.unlockVMs(cpu)
+	hv.lockVMs(cpu, vcpuLoadLockVMs)
+	defer hv.unlockVMs(cpu, nil)
 
 	vm := hv.lookupVM(handle)
 	if vm == nil || vm.State != VMActive {
@@ -212,8 +212,8 @@ func (hv *Hypervisor) vcpuPut(cpu int) Errno {
 		return ENOENT
 	}
 
-	hv.lockVMs(cpu)
-	defer hv.unlockVMs(cpu)
+	hv.lockVMs(cpu, vcpuPutLockVMs)
+	defer hv.unlockVMs(cpu, nil)
 
 	vm := hv.lookupVM(pc.LoadedVM)
 	if vm == nil {
@@ -243,20 +243,20 @@ func (hv *Hypervisor) hostMapGuest(cpu int, pfn arch.PFN, gfn uint64) Errno {
 		return EINVAL
 	}
 
-	hv.lockVMs(cpu)
+	hv.lockVMs(cpu, hostMapGuestLockVMs)
 	vm := hv.lookupVM(pc.LoadedVM)
 	if vm == nil || vm.State != VMActive {
-		hv.unlockVMs(cpu)
+		hv.unlockVMs(cpu, hostMapGuestUnlockVMs)
 		return ENOENT
 	}
 	vcpu := vm.VCPUs[pc.LoadedVCPU]
-	hv.unlockVMs(cpu)
+	hv.unlockVMs(cpu, hostMapGuestUnlockVMs1)
 
-	hv.lockGuest(cpu, vm)
-	hv.lockHost(cpu)
+	hv.lockGuest(cpu, vm, hostMapGuestLockGuest)
+	hv.lockHost(cpu, hostMapGuestLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockGuest(cpu, vm)
+		hv.unlockHost(cpu, hostMapGuestUnlockHost)
+		hv.unlockGuest(cpu, vm, hostMapGuestUnlockGuest)
 	}()
 
 	if ret := hv.hostCheckState(arch.IPA(phys), arch.PageSize, arch.StateOwned); ret != OK {
@@ -301,11 +301,11 @@ func (hv *Hypervisor) topupVCPUMemcache(cpu int, handle Handle, idx int, head ar
 		return EINVAL
 	}
 
-	hv.lockVMs(cpu)
-	hv.lockHost(cpu)
+	hv.lockVMs(cpu, topupVCPUMemcacheLockVMs)
+	hv.lockHost(cpu, topupVCPUMemcacheLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockVMs(cpu)
+		hv.unlockHost(cpu, topupVCPUMemcacheUnlockHost)
+		hv.unlockVMs(cpu, topupVCPUMemcacheUnlockVMs)
 	}()
 
 	vm := hv.lookupVM(handle)

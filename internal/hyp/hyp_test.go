@@ -446,9 +446,9 @@ func TestTopupAndMapGuest(t *testing.T) {
 	if r := hvc(t, hv, 0, HCTopupVCPUMemcache, uint64(h), 0, uint64(head), 4); r != 0 {
 		t.Fatalf("topup: %v", Errno(r))
 	}
-	hv.lockVMs(0)
+	hv.lockVMs(0, nil)
 	mcLen := hv.lookupVM(h).VCPUs[0].MC.Len()
-	hv.unlockVMs(0)
+	hv.unlockVMs(0, nil)
 	if mcLen != 4 {
 		t.Fatalf("memcache depth = %d, want 4", mcLen)
 	}
@@ -462,9 +462,9 @@ func TestTopupAndMapGuest(t *testing.T) {
 		t.Fatalf("map_guest: %v", Errno(r))
 	}
 	// Guest sees the page at IPA 16<<12.
-	hv.lockVMs(0)
+	hv.lockVMs(0, nil)
 	vm := hv.lookupVM(h)
-	hv.unlockVMs(0)
+	hv.unlockVMs(0, nil)
 	res, f := arch.WalkRead(hv.Mem, vm.PGT.Root(), 16<<arch.PageShift)
 	if f != nil || res.OutputAddr != guestPage.Phys() {
 		t.Fatalf("guest walk: %+v %v", res, f)
@@ -544,9 +544,9 @@ func TestTopupSizeBug(t *testing.T) {
 	if r := hvc(t, hv, 0, HCTopupVCPUMemcache, uint64(h), 0, uint64(hostPFN(hv, 200).Phys()), 0x10000); r != 0 {
 		t.Fatalf("buggy oversized topup = %v, want success", Errno(r))
 	}
-	hv.lockVMs(0)
+	hv.lockVMs(0, nil)
 	mcLen := hv.lookupVM(h).VCPUs[0].MC.Len()
-	hv.unlockVMs(0)
+	hv.unlockVMs(0, nil)
 	if mcLen != 0 {
 		t.Errorf("memcache depth = %d after truncated topup", mcLen)
 	}

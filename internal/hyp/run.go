@@ -9,7 +9,7 @@ import (
 // stand-in for the guest image. It is test-harness machinery, not part
 // of the hypercall API; callers must not race it with a running vCPU.
 func (hv *Hypervisor) QueueGuestOp(handle Handle, idx int, op GuestOp) bool {
-	hv.vmsLock.Lock()
+	hv.vmsLock.LockAt(queueGuestOpLockVMs)
 	defer hv.vmsLock.Unlock()
 	vm := hv.lookupVM(handle)
 	if vm == nil || idx < 0 || idx >= vm.NrVCPUs {
@@ -31,9 +31,9 @@ func (hv *Hypervisor) vcpuRun(cpu int) int64 {
 	// The vCPU is owned by this physical CPU: no lock needed to reach
 	// it (paper §3.1). The VM-table lock is only needed to resolve the
 	// handle to the metadata pointer.
-	hv.lockVMs(cpu)
+	hv.lockVMs(cpu, vcpuRunLockVMs)
 	vm := hv.lookupVM(pc.LoadedVM)
-	hv.unlockVMs(cpu)
+	hv.unlockVMs(cpu, vcpuRunUnlockVMs)
 	if vm == nil {
 		hv.hypPanic(cpu, "vcpu_run: loaded VM %v vanished", pc.LoadedVM)
 	}
@@ -101,11 +101,11 @@ func (hv *Hypervisor) guestShareHost(cpu int, vm *VM, ipa arch.IPA) Errno {
 	if !arch.PageAligned(uint64(ipa)) {
 		return EINVAL
 	}
-	hv.lockGuest(cpu, vm)
-	hv.lockHost(cpu)
+	hv.lockGuest(cpu, vm, guestShareHostLockGuest)
+	hv.lockHost(cpu, guestShareHostLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockGuest(cpu, vm)
+		hv.unlockHost(cpu, guestShareHostUnlockHost)
+		hv.unlockGuest(cpu, vm, guestShareHostUnlockGuest)
 	}()
 
 	pte, level := vm.PGT.GetLeaf(uint64(ipa))
@@ -136,11 +136,11 @@ func (hv *Hypervisor) guestUnshareHost(cpu int, vm *VM, ipa arch.IPA) Errno {
 	if !arch.PageAligned(uint64(ipa)) {
 		return EINVAL
 	}
-	hv.lockGuest(cpu, vm)
-	hv.lockHost(cpu)
+	hv.lockGuest(cpu, vm, guestUnshareHostLockGuest)
+	hv.lockHost(cpu, guestUnshareHostLockHost)
 	defer func() {
-		hv.unlockHost(cpu)
-		hv.unlockGuest(cpu, vm)
+		hv.unlockHost(cpu, guestUnshareHostUnlockHost)
+		hv.unlockGuest(cpu, vm, guestUnshareHostUnlockGuest)
 	}()
 
 	pte, level := vm.PGT.GetLeaf(uint64(ipa))

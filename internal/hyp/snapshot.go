@@ -179,7 +179,7 @@ func (b *Base) restore(d *Delta) int {
 
 	// Every rewritten frame bumped its generation, so one stale-deps
 	// sweep drops exactly the TLB entries the restore invalidated.
-	hv.tlb.InvalidateStale()
+	hv.tlb.InvalidateStale(restoreTLBI)
 	hv.hostTLBIOff = false
 	hv.flight.Reset()
 	return dirty

@@ -1,6 +1,7 @@
 package hyp
 
 import (
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 )
 
@@ -43,31 +44,32 @@ func VMIDForHandle(h Handle) arch.VMID {
 }
 
 // hostTLBI invalidates host stage 2 translations for one
-// break-before-make sequence, unless the injected skipped-TLBI bug has
-// opened its suppression window.
+// break-before-make sequence at the mutation's TLBI point p, unless the
+// injected skipped-TLBI bug has opened its suppression window (then
+// nothing is invalidated and nothing crossed).
 //
 //ghost:requires lock=host
-func (hv *Hypervisor) hostTLBI(ia, size uint64) {
+func (hv *Hypervisor) hostTLBI(p *preempt.Point, ia, size uint64) {
 	if hv.hostTLBIOff {
 		return
 	}
-	hv.tlb.InvalidateRange(VMIDHost, ia, size)
+	hv.tlb.InvalidateRange(p, VMIDHost, ia, size)
 }
 
 // hypTLBI invalidates hypervisor stage 1 translations for one
 // break-before-make sequence.
 //
 //ghost:requires lock=hyp
-func (hv *Hypervisor) hypTLBI(ia, size uint64) {
-	hv.tlb.InvalidateRange(VMIDHyp, ia, size)
+func (hv *Hypervisor) hypTLBI(p *preempt.Point, ia, size uint64) {
+	hv.tlb.InvalidateRange(p, VMIDHyp, ia, size)
 }
 
 // guestTLBI builds the invalidation callback for one guest's stage 2,
 // tagged with its VMID. The callback fires inside guest-table
 // mutations, which hold the guest lock.
-func (hv *Hypervisor) guestTLBI(vmid arch.VMID) func(ia, size uint64) {
-	return func(ia, size uint64) {
-		hv.tlb.InvalidateRange(vmid, ia, size)
+func (hv *Hypervisor) guestTLBI(vmid arch.VMID) func(p *preempt.Point, ia, size uint64) {
+	return func(p *preempt.Point, ia, size uint64) {
+		hv.tlb.InvalidateRange(p, vmid, ia, size)
 	}
 }
 

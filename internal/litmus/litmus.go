@@ -21,6 +21,7 @@
 package litmus
 
 import (
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/bugdemo"
 	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/faults"
@@ -92,6 +93,13 @@ func (l *Litmus) Run(e *Env, s *sched.Scheduler, seeded bool) error {
 	return s.Run(e.HV.Preempt(), l.Streams(e, s, seeded)...)
 }
 
+// The lock-window-inversion litmus's own acquisitions (closures in
+// Suite).
+var (
+	suiteLockVMs   = preempt.At(preempt.KindLockAcquire, "vms", "Suite", 0)
+	suiteLockGuest = preempt.At(preempt.KindLockAcquire, "guest", "Suite", 0)
+)
+
 // Suite returns the litmus table. Scenarios use fixed placeholder PFNs
 // and handles — the replay env binds them to real allocations.
 func Suite() []Litmus {
@@ -136,7 +144,7 @@ func Suite() []Litmus {
 			WantErr: "rank inversion",
 			Streams: func(e *Env, s *sched.Scheduler, seeded bool) []func(int) {
 				snapshot := func() *hyp.VM {
-					e.HV.VMTableLock().Lock()
+					e.HV.VMTableLock().LockAt(suiteLockVMs)
 					defer e.HV.VMTableLock().Unlock()
 					return e.HV.VMSnapshot(0)
 				}
@@ -155,7 +163,7 @@ func Suite() []Litmus {
 					// The documented order: vms (rank 1) before guest
 					// (rank 2) is what every real hypercall path does;
 					// a plain ordered read keeps the clean leg quiet.
-					vm.Lock.Lock()
+					vm.Lock.LockAt(suiteLockGuest)
 					defer vm.Lock.Unlock()
 					_ = vm
 				}

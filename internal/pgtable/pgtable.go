@@ -87,7 +87,7 @@ type Table struct {
 
 	// tlbi, when set, receives one TLB-invalidate notification per
 	// break-before-make sequence; see SetTLBI.
-	tlbi func(ia, size uint64)
+	tlbi func(p *preempt.Point, ia, size uint64)
 
 	// tlb, when set, is the system's software TLB, consulted by
 	// GetLeaf as a generation-verified walk cache; see SetTLB.
@@ -129,13 +129,14 @@ func (t *Table) notifyTablePage(pfn arch.PFN, alloc bool) {
 // broken entry's whole input range. The hypervisor bridges it to the
 // system TLB tagged with the component's VMID; because mutations run
 // under the owning component's lock, the callback fires under that
-// lock too.
-func (t *Table) SetTLBI(fn func(ia, size uint64)) { t.tlbi = fn }
+// lock too. p is the mutation's TLBI point, for the callback to hand to
+// the TLB invalidation it issues (or not, if it skips the TLBI).
+func (t *Table) SetTLBI(fn func(p *preempt.Point, ia, size uint64)) { t.tlbi = fn }
 
-// notifyTLBI reports one break-before-make invalidation.
-func (t *Table) notifyTLBI(ia, size uint64) {
+// notifyTLBI reports one break-before-make invalidation at point p.
+func (t *Table) notifyTLBI(p *preempt.Point, ia, size uint64) {
 	if t.tlbi != nil {
-		t.tlbi(ia, size)
+		t.tlbi(p, ia, size)
 	}
 }
 
@@ -266,20 +267,13 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	return t.walkLevel(t.root, arch.StartLevel, ia, ia+size, v)
 }
 
-// The walker's visitor-step points: walkLevel's three v.Fn dispatch
-// lines, in source order. They are the table's only visitor-step
-// points, and a visitor callback never starts a nested walk, so each
-// dispatch names its own line — the point a full-stack resolution
-// finds too (TestVisitorStepPoints checks both under the twin).
-var stepPre, stepPost, stepLeaf = visitorSteps()
-
-func visitorSteps() (pre, post, leaf *preempt.Point) {
-	pts := preempt.ByKind(preempt.KindVisitorStep)
-	if len(pts) != 3 {
-		panic(fmt.Sprintf("pgtable: the preemption table has %d visitor-step points, want walkLevel's 3 (run ghostlint -write-preempt)", len(pts)))
-	}
-	return &pts[0], &pts[1], &pts[2]
-}
+// The walker's visitor-step points: walkLevel's three v.Fn
+// dispatches, in source order.
+var (
+	stepPre  = preempt.At(preempt.KindVisitorStep, "", "walkLevel", 0)
+	stepPost = preempt.At(preempt.KindVisitorStep, "", "walkLevel", 1)
+	stepLeaf = preempt.At(preempt.KindVisitorStep, "", "walkLevel", 2)
+)
 
 // step crosses visitor-step point p and passes ctx through. It is
 // called in the argument of a v.Fn dispatch, so the crossing happens
@@ -447,6 +441,13 @@ type mutateOpts struct {
 	skipInvalid bool
 }
 
+// mutateRange's break-before-make TLBIs: replacing a live entry whole,
+// and splitting a live block.
+var (
+	tlbiReplace = preempt.At(preempt.KindTLBI, "", "mutateRange", 0)
+	tlbiSplit   = preempt.At(preempt.KindTLBI, "", "mutateRange", 1)
+)
+
 // mutateRange rewrites all entries covering [ia, end). makeEntry
 // builds the replacement descriptor for a whole entry at a level;
 // leafOK reports whether a whole-entry replacement may be installed at
@@ -488,7 +489,7 @@ func (t *Table) mutateRange(table arch.PhysAddr, level int, ia, end uint64, opts
 				// invalidated from the TLB; only then may its table
 				// pages be reused and the replacement made visible.
 				t.Mem.WritePTE(table, idx, 0)
-				t.notifyTLBI(ia, arch.LevelSize(level))
+				t.notifyTLBI(tlbiReplace, ia, arch.LevelSize(level))
 				if kind == arch.EKTable {
 					t.freeSubtree(pte, level)
 				}
@@ -523,7 +524,7 @@ func (t *Table) mutateRange(table arch.PhysAddr, level int, ia, end uint64, opts
 				// leaves the table and the TLB before the replicated
 				// finer-grained copy is built and installed.
 				t.Mem.WritePTE(table, idx, 0)
-				t.notifyTLBI(base, arch.LevelSize(level))
+				t.notifyTLBI(tlbiSplit, base, arch.LevelSize(level))
 			}
 			np, err := t.newTable(table, idx, pte, level)
 			if err != nil {
