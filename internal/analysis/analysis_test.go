@@ -18,6 +18,7 @@ var goldenDirs = []string{
 	"ptecheck_bad",
 	"telemetrycheck_bad",
 	"snapshotcheck_bad",
+	"preempt_bad",
 }
 
 // mark identifies one expected or actual finding site.

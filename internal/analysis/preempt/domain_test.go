@@ -5,17 +5,15 @@ import (
 	"testing"
 
 	"ghostspec/internal/analysis/preempt"
+	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
+	"ghostspec/internal/spinlock"
 )
 
-// Every crossing of a scheduled run is also resolved from the full
-// stack, and a disagreement with the fast path panics.
-func init() { preempt.VerifyResolution = true }
-
 // recorder is a preempt.Scheduler that logs crossings without parking.
-type recorder struct{ seen []preempt.Point }
+type recorder struct{ seen []*preempt.Point }
 
-func (r *recorder) Crossing(p preempt.Point) { r.seen = append(r.seen, p) }
+func (r *recorder) Crossing(p *preempt.Point) { r.seen = append(r.seen, p) }
 
 func boot(t testing.TB) *hyp.Hypervisor {
 	t.Helper()
@@ -27,13 +25,13 @@ func boot(t testing.TB) *hyp.Hypervisor {
 }
 
 // queueMiss crosses QueueGuestOp's VM-table lock acquire point (no VM
-// has handle 0, so it touches nothing else). Its deferred release runs
-// from the function's return, a frame that names no table point.
+// has handle 0, so it touches nothing else). Its deferred bare Unlock
+// crosses nothing.
 func queueMiss(hv *hyp.Hypervisor) { hv.QueueGuestOp(0, 0, hyp.GuestOp{}) }
 
 // TestDomainCrossings checks that a system's crossings reach the
-// scheduler bound to its own domain, resolved to table points, and
-// nowhere else.
+// scheduler bound to its own domain, as table points, and nowhere
+// else.
 func TestDomainCrossings(t *testing.T) {
 	hv, other := boot(t), boot(t)
 	var r recorder
@@ -45,7 +43,7 @@ func TestDomainCrossings(t *testing.T) {
 
 	var got []string
 	for _, p := range r.seen {
-		if q, ok := preempt.ByID(p.ID); !ok || q != p {
+		if q, ok := preempt.ByID(p.ID); !ok || q != *p {
 			t.Fatalf("crossing %+v is not a table point", p)
 		}
 		got = append(got, string(p.Kind)+"@"+p.Func)
@@ -58,8 +56,7 @@ func TestDomainCrossings(t *testing.T) {
 	if nilDom.Bound() != nil {
 		t.Fatal("nil domain reports a scheduler")
 	}
-	nilDom.FireCaller(preempt.KindLockAcquire) // must not panic
-	nilDom.Fire(&preempt.ByKind(preempt.KindVisitorStep)[0])
+	nilDom.Fire(&preempt.ByKind(preempt.KindVisitorStep)[0]) // must not panic
 
 	hv.Preempt().Bind(&r)
 	defer hv.Preempt().Bind(nil)
@@ -71,25 +68,46 @@ func TestDomainCrossings(t *testing.T) {
 	hv.Preempt().Bind(&recorder{})
 }
 
-// TestCrossingAllocationFree pins the cost of a crossing: on a bound
-// domain with a warm memo it allocates nothing, and unbound it is
-// a single atomic load. The full-stack twin symbolizes every crossing,
-// so it is off here.
+// TestCrossingAllocationFree pins the cost of a crossing: bound, a
+// hypervisor lock crossing, a spinlock's LockAt/UnlockAt and a TLB
+// invalidation allocate nothing (the point is passed, not looked up
+// or copied), and unbound a crossing is a single atomic load.
 func TestCrossingAllocationFree(t *testing.T) {
-	preempt.VerifyResolution = false
-	defer func() { preempt.VerifyResolution = true }()
 	hv := boot(t)
-	r := &recorder{seen: make([]preempt.Point, 0, 1024)}
-	hv.Preempt().Bind(r)
-	queueMiss(hv) // warm the memo
-	if n := testing.AllocsPerRun(100, func() { queueMiss(hv) }); n != 0 {
-		t.Errorf("bound crossing allocates %v times per call", n)
+	var dom preempt.Domain
+	l := spinlock.New("alloc-test", nil)
+	l.SetDomain(&dom)
+	tlb := arch.NewTLB(hv.Mem)
+	tlb.SetDomain(&dom)
+	acq := &preempt.ByKind(preempt.KindLockAcquire)[0]
+	rel := &preempt.ByKind(preempt.KindLockRelease)[0]
+	tlbi := &preempt.ByKind(preempt.KindTLBI)[0]
+	crossings := map[string]func(){
+		"QueueGuestOp": func() { queueMiss(hv) },
+		"LockAt/UnlockAt": func() {
+			l.LockAt(acq)
+			l.UnlockAt(rel)
+		},
+		"InvalidateRange": func() { tlb.InvalidateRange(tlbi, 1, 0, arch.PageSize) },
 	}
-	if len(r.seen) == 0 {
-		t.Fatal("bound domain saw no crossings")
+
+	r := &recorder{seen: make([]*preempt.Point, 0, 1024)}
+	hv.Preempt().Bind(r)
+	dom.Bind(r)
+	for name, f := range crossings {
+		r.seen = r.seen[:0]
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("bound %s crossing allocates %v times per call", name, n)
+		}
+		if len(r.seen) == 0 {
+			t.Errorf("bound %s saw no crossings", name)
+		}
 	}
 	hv.Preempt().Bind(nil)
-	if n := testing.AllocsPerRun(100, func() { queueMiss(hv) }); n != 0 {
-		t.Errorf("unbound crossing allocates %v times per call", n)
+	dom.Bind(nil)
+	for name, f := range crossings {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("unbound %s crossing allocates %v times per call", name, n)
+		}
 	}
 }

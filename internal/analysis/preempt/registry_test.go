@@ -30,6 +30,9 @@ func TestGeneratedTable(t *testing.T) {
 		if p.ID == 0 {
 			t.Errorf("%s:%d has zero ID", p.File, p.Line)
 		}
+		if p.ID == PointBoundary || p.ID == PointLockWait {
+			t.Errorf("%s:%d collides with reserved pseudo-point ID %d", p.File, p.Line, p.ID)
+		}
 		if seen[p.ID] {
 			t.Errorf("duplicate ID %#x", p.ID)
 		}

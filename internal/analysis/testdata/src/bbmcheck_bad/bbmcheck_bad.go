@@ -18,14 +18,14 @@ func remapNoTLBI(m *arch.Memory, table arch.PhysAddr, pa arch.PhysAddr) {
 // cache either descriptor.
 func overwriteInPlace(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, pa arch.PhysAddr) {
 	m.WritePTE(table, 4, arch.MakeLeaf(arch.LastLevel, pa, arch.Attrs{}))
-	tlb.InvalidateRange(0, 0, arch.PageSize)
+	tlb.InvalidateRange(nil, 0, 0, arch.PageSize)
 	m.WritePTE(table, 4, arch.MakeTable(pa)) // want:bbmcheck
 }
 
 // remapProper is the legal break→TLBI→make sequence.
 func remapProper(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, pa arch.PhysAddr) {
 	m.WritePTE(table, 5, 0)
-	tlb.InvalidateRange(0, 0, arch.PageSize)
+	tlb.InvalidateRange(nil, 0, 0, arch.PageSize)
 	m.WritePTE(table, 5, arch.MakeLeaf(arch.LastLevel, pa, arch.Attrs{}))
 }
 
@@ -48,9 +48,9 @@ func branchBreak(m *arch.Memory, table arch.PhysAddr, pa arch.PhysAddr, cond boo
 func branchTLBI(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, pa arch.PhysAddr, wide bool) {
 	m.WritePTE(table, 8, 0)
 	if wide {
-		tlb.InvalidateAll()
+		tlb.InvalidateAll(nil)
 	} else {
-		tlb.InvalidateRange(0, 0, arch.PageSize)
+		tlb.InvalidateRange(nil, 0, 0, arch.PageSize)
 	}
 	m.WritePTE(table, 8, arch.MakeLeaf(arch.LastLevel, pa, arch.Attrs{}))
 }
@@ -58,7 +58,7 @@ func branchTLBI(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, pa arch.Phys
 // deferredTLBI runs the invalidation at return — after the make, too
 // late to close the window.
 func deferredTLBI(m *arch.Memory, tlb *arch.TLB, table arch.PhysAddr, pa arch.PhysAddr) {
-	defer tlb.InvalidateRange(0, 0, arch.PageSize)
+	defer tlb.InvalidateRange(nil, 0, 0, arch.PageSize)
 	m.WritePTE(table, 9, 0)
 	m.WritePTE(table, 9, arch.MakeLeaf(arch.LastLevel, pa, arch.Attrs{})) // want:bbmcheck
 }

@@ -3,15 +3,10 @@ package campaign
 import (
 	"testing"
 
-	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/randtest"
 	"ghostspec/internal/sched"
 	"ghostspec/internal/spinlock"
 )
-
-// Every crossing of this package's scheduled runs is also resolved
-// from the full stack, and a disagreement with the fast path panics.
-func init() { preempt.VerifyResolution = true }
 
 // TestSchedStressRace drives 4-vCPU scheduled replays of fuzzed traces
 // under a spread of random schedules with the runtime rank validator

@@ -31,6 +31,12 @@ func SchedSeed(runSeed int64) int64 {
 	return randtest.WorkerSeed(runSeed, schedSeedStream)
 }
 
+// schedStepsPerOp presizes a schedule-fuzz exec's recorded schedule:
+// 2-vCPU replays of 400-step guided traces record 8.6–21.8 steps per
+// trace op (seeds 1–12, median ~15), so most records fit and the rest
+// grow once.
+const schedStepsPerOp = 16
+
 // schedFuzzOne re-executes tr under a seeded deterministic schedule on
 // a system rewound to base (or freshly booted when snapshots are off).
 // Oracle alarms and scheduler-level errors (captured panics, deadlock
@@ -55,7 +61,8 @@ func (e *Engine) schedFuzzOne(w int, in input, tr *randtest.Trace, ws *worksys, 
 		}
 	}
 
-	s := sched.New(e.cfg.NrCPUs, sched.WithSeed(uint64(schedSeed)), sched.WithTracer(e.tracer, w))
+	s := sched.New(e.cfg.NrCPUs, sched.WithSeed(uint64(schedSeed)), sched.WithTracer(e.tracer, w),
+		sched.WithCapacity(schedStepsPerOp*tr.Len()))
 	runErr := randtest.ReplayScheduled(d, tr, s)
 	failures := rec.Failures()
 	if len(failures) == 0 && runErr == nil {

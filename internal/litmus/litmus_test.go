@@ -3,14 +3,9 @@ package litmus
 import (
 	"testing"
 
-	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/faults"
 	"ghostspec/internal/spinlock"
 )
-
-// Every crossing of a scheduled run is also resolved from the full
-// stack, and a disagreement with the fast path panics.
-func init() { preempt.VerifyResolution = true }
 
 func budget(t *testing.T) Budget {
 	t.Helper()

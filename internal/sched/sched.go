@@ -114,8 +114,15 @@ func WithForcedChoices(forced []int) Option {
 
 // WithTracer attaches a span tracer: every preemption emits a
 // sched.preempt span covering the parked interval on the given lane.
+// Without one, parking reads no clock.
 func WithTracer(t *trace.Tracer, lane int) Option {
 	return func(s *Scheduler) { s.tracer, s.lane = t, lane }
+}
+
+// WithCapacity presizes the recorded schedule for about steps
+// decisions, so a long run's record does not grow by repeated copying.
+func WithCapacity(steps int) Option {
+	return func(s *Scheduler) { s.record = make([]Step, 0, steps) }
 }
 
 // New builds a scheduler for n virtual CPUs.
@@ -219,7 +226,7 @@ func (s *Scheduler) Boundary(vcpu int) bool {
 
 // Crossing implements preempt.Scheduler: a point crossing on the
 // bound domain parks the running cell.
-func (s *Scheduler) Crossing(p preempt.Point) { s.park(-1, p.ID) }
+func (s *Scheduler) Crossing(p *preempt.Point) { s.park(-1, p.ID) }
 
 // park stops a cell at the given point and waits for the token: cell
 // id from Boundary, the running cell (id < 0) from a crossing.
@@ -243,14 +250,29 @@ func (s *Scheduler) park(id int, point uint64) {
 	c.point = point
 	s.preemptions++
 	telPreemptions.Inc()
-	start := time.Now()
+	start := s.now()
 	s.decideLocked()
 	s.mu.Unlock()
 
 	<-c.grant
-	d := time.Since(start)
-	telParkedNS.Add(uint64(d))
-	s.tracer.Emit(s.lane, spanPreempt, start, d)
+	s.emitParked(start)
+}
+
+// now reads the clock for a parked interval's span, and only when a
+// tracer will receive it.
+func (s *Scheduler) now() time.Time {
+	if s.tracer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// emitParked emits the sched.preempt span of an interval that started
+// at start (see now).
+func (s *Scheduler) emitParked(start time.Time) {
+	if s.tracer != nil {
+		s.tracer.Emit(s.lane, spanPreempt, start, time.Since(start))
+	}
 }
 
 // runningLocked returns the cell holding the token, or -1. Caller
@@ -286,7 +308,7 @@ func (s *Scheduler) LockContended(l *spinlock.Lock) bool {
 	c.blocked = l
 	s.preemptions++
 	telPreemptions.Inc()
-	start := time.Now()
+	start := s.now()
 	s.decideLocked()
 	if s.abandoned {
 		// The block we just declared completed a deadlock; undo it and
@@ -300,9 +322,7 @@ func (s *Scheduler) LockContended(l *spinlock.Lock) bool {
 	s.mu.Unlock()
 
 	<-c.grant
-	d := time.Since(start)
-	telParkedNS.Add(uint64(d))
-	s.tracer.Emit(s.lane, spanPreempt, start, d)
+	s.emitParked(start)
 	s.mu.Lock()
 	s.cells[id].blocked = nil
 	s.mu.Unlock()

@@ -8,10 +8,6 @@ import (
 	"ghostspec/internal/spinlock"
 )
 
-// Every crossing of a scheduled run is also resolved from the full
-// stack, and a disagreement with the fast path panics.
-func init() { preempt.VerifyResolution = true }
-
 // streams returns n stream functions that each append (vcpu, step) to
 // a shared log at every op boundary — shared state that is only safe
 // because one-token scheduling serialises it.

@@ -6,13 +6,11 @@ import (
 )
 
 // Process-global scheduling telemetry, alongside the per-Scheduler
-// deterministic counts (Scheduler.Preemptions): how often vCPUs parked
-// and how long they spent parked, across all concurrent schedulers.
-var (
-	telPreemptions = telemetry.NewCounter("sched_preemptions")
-	telParkedNS    = telemetry.NewCounter("sched_parked_ns")
-)
+// deterministic count (Scheduler.Preemptions): how often vCPUs parked,
+// across all concurrent schedulers.
+var telPreemptions = telemetry.NewCounter("sched_preemptions")
 
 // spanPreempt covers one parked interval on the scheduler's trace
-// lane (WithTracer).
+// lane (WithTracer); how long vCPUs spent parked is read from these
+// spans.
 var spanPreempt = trace.NewName("sched.preempt")
