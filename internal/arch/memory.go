@@ -239,11 +239,29 @@ func (m *Memory) WritePTE(table PhysAddr, idx int, p PTE) {
 	m.Write64(table+PhysAddr(idx*8), uint64(p))
 }
 
+// DiffFrame brings dst up to date with the frame containing pa in one
+// pass: every word that differs from dst is reported to changed, as
+// the descriptor dst held and the one the frame holds now, and then
+// stored into dst. Words that read back equal cost one atomic load and
+// a compare. Like ReadFrame it is not a snapshot against racing
+// writers, but each word is read once, so what changed reports is
+// exactly what dst ends up holding.
+func (m *Memory) DiffFrame(pa PhysAddr, dst *Frame, changed func(idx int, was, now PTE)) {
+	c := m.frame(pa)
+	for i := range c.f {
+		if w := atomic.LoadUint64(&c.f[i]); w != dst[i] {
+			changed(i, PTE(dst[i]), PTE(w))
+			dst[i] = w
+		}
+	}
+}
+
 // ZeroWords zeroes n consecutive 64-bit words starting at pa, which
 // must be 8-byte aligned. Unlike ZeroPage the range may start
 // mid-frame and run across frame boundaries (the page-scrub paths
 // zero at host-supplied addresses); each touched frame costs one
-// lookup and one generation bump rather than one per word.
+// lookup and one generation bump rather than one per word, and only
+// the words that are not already zero are stored.
 func (m *Memory) ZeroWords(pa PhysAddr, n int) {
 	if pa&7 != 0 {
 		panic(fmt.Sprintf("arch: unaligned ZeroWords at %#x", uint64(pa)))
@@ -255,10 +273,7 @@ func (m *Memory) ZeroWords(pa PhysAddr, n int) {
 		if k > n {
 			k = n
 		}
-		for j := i; j < i+k; j++ {
-			atomic.StoreUint64(&c.f[j], 0)
-		}
-		c.gen.Add(1)
+		zeroCell(c, i, i+k)
 		pa += PhysAddr(k * 8)
 		n -= k
 	}
@@ -266,9 +281,22 @@ func (m *Memory) ZeroWords(pa PhysAddr, n int) {
 
 // ZeroPage clears the frame containing pa.
 func (m *Memory) ZeroPage(pa PhysAddr) {
-	c := m.frame(pa)
-	for i := range c.f {
-		atomic.StoreUint64(&c.f[i], 0)
+	zeroCell(m.frame(pa), 0, PTEsPerTable)
+}
+
+// zeroCell zeroes words [lo, hi) of the cell and bumps its generation
+// once, also when every word was already zero: generation consumers
+// (snapshot baselines, the ghost abstraction cache) key on "this frame
+// was written", not on "its content changed". Each word is loaded and
+// stored only when non-zero; both stay single-copy atomic, so a racing
+// reader sees every word either old or zero, as with an unconditional
+// store. Scrubbed frames are almost always zero already, which makes
+// the skip the difference between a read pass and a write pass.
+func zeroCell(c *frameCell, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		if atomic.LoadUint64(&c.f[j]) != 0 {
+			atomic.StoreUint64(&c.f[j], 0)
+		}
 	}
 	c.gen.Add(1)
 }

@@ -47,3 +47,144 @@ func TestFrameGenerations(t *testing.T) {
 		t.Fatalf("ref = %d, FrameGen = %d, want 5", ref.Load(), m.FrameGen(pa))
 	}
 }
+
+// TestScrubBumpsOnceWhenAlreadyZero: a scrub skips the stores of words
+// that are already zero, but still counts as one write of every frame
+// it covers, including an all-zero one, and clears the words that were
+// not zero.
+func TestScrubBumpsOnceWhenAlreadyZero(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	pa := m.RAMStart()
+
+	m.ZeroPage(pa)
+	if g := m.FrameGen(pa); g != 1 {
+		t.Fatalf("ZeroPage of a zero frame: gen %d, want 1", g)
+	}
+	m.ZeroPage(pa)
+	if g := m.FrameGen(pa); g != 2 {
+		t.Fatalf("second ZeroPage of a zero frame: gen %d, want 2", g)
+	}
+
+	// A range from mid-frame across the boundary into the next frame:
+	// one bump on each side, zero or not.
+	next := pa + PageSize
+	m.Write64(next+8, 0x55) // next: gen 1
+	m.Write64(pa+PageSize-8, 0x66)
+	g0 := m.FrameGen(pa)
+	m.ZeroWords(pa+PageSize/2, PTEsPerTable)
+	if g := m.FrameGen(pa); g != g0+1 {
+		t.Fatalf("ZeroWords: first frame gen %d, want %d", g, g0+1)
+	}
+	if g := m.FrameGen(next); g != 2 {
+		t.Fatalf("ZeroWords: second frame gen %d, want 2", g)
+	}
+	if m.Read64(pa+PageSize-8) != 0 || m.Read64(next+8) != 0 {
+		t.Fatal("ZeroWords left a non-zero word in its range")
+	}
+	// The words past the range are untouched.
+	m.Write64(next+PageSize/2, 0x77)
+	m.ZeroWords(pa+PageSize/2, PTEsPerTable)
+	if m.Read64(next+PageSize/2) != 0x77 {
+		t.Fatal("ZeroWords cleared a word past its range")
+	}
+}
+
+// TestScrubConcurrentReader: while a non-zero frame is scrubbed, a
+// reader loading its words atomically sees each word either with its
+// old value or zero, never anything else (run under -race: the skip of
+// zero words must not turn a store into a plain one).
+func TestScrubConcurrentReader(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	pa := m.RAMStart()
+	old := func(i int) uint64 { return uint64(i)*0x0101_0101 + 1 }
+	for round := 0; round < 50; round++ {
+		for i := 0; i < PTEsPerTable; i += 2 { // odd words stay zero
+			m.Write64(pa+PhysAddr(i*8), old(i))
+		}
+		started, done := make(chan struct{}), make(chan struct{})
+		bad := make(chan string, 1)
+		go func() {
+			defer close(bad)
+			close(started)
+			for {
+				for i := 0; i < PTEsPerTable; i++ {
+					if w := m.Read64(pa + PhysAddr(i*8)); w != 0 && w != old(i) {
+						bad <- "torn word"
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		<-started
+		if round%2 == 0 {
+			m.ZeroPage(pa)
+		} else {
+			m.ZeroWords(pa, PTEsPerTable)
+		}
+		close(done)
+		if msg, ok := <-bad; ok {
+			t.Fatalf("round %d: reader saw a %s", round, msg)
+		}
+		for i := 0; i < PTEsPerTable; i++ {
+			if w := m.Read64(pa + PhysAddr(i*8)); w != 0 {
+				t.Fatalf("round %d: word %d = %#x after the scrub", round, i, w)
+			}
+		}
+	}
+}
+
+// TestDiffFrameReportsChangedWords: one pass reports exactly the
+// indices whose word differs from the copy, each with the copy's old
+// and the frame's new value, and leaves the copy equal to the frame;
+// a second pass reports nothing. Diffing does not write the frame.
+func TestDiffFrameReportsChangedWords(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	pa := m.RAMStart()
+	var copyF Frame
+	for i := range copyF {
+		copyF[i] = uint64(i) << 12
+		m.Write64(pa+PhysAddr(i*8), uint64(i)<<12)
+	}
+	want := map[int][2]uint64{}
+	for _, i := range []int{0, 1, 7, 255, 256, 511} {
+		now := uint64(i)<<12 | 3
+		if i == 7 {
+			now = 0
+		}
+		m.Write64(pa+PhysAddr(i*8), now)
+		want[i] = [2]uint64{uint64(i) << 12, now}
+	}
+	gen := m.FrameGen(pa)
+
+	got := map[int][2]uint64{}
+	last := -1
+	m.DiffFrame(pa, &copyF, func(idx int, was, now PTE) {
+		if idx <= last {
+			t.Errorf("index %d reported after %d", idx, last)
+		}
+		last = idx
+		got[idx] = [2]uint64{uint64(was), uint64(now)}
+	})
+	if len(got) != len(want) {
+		t.Fatalf("reported %d indices %v, want %v", len(got), got, want)
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("index %d: reported %#x, want %#x", i, got[i], w)
+		}
+	}
+	var live Frame
+	m.ReadFrame(pa, &live)
+	if live != copyF {
+		t.Fatal("the copy differs from the frame after the diff")
+	}
+	m.DiffFrame(pa, &copyF, func(idx int, _, _ PTE) { t.Errorf("second pass reported index %d", idx) })
+	if g := m.FrameGen(pa); g != gen {
+		t.Fatalf("diffing moved the frame's generation %d -> %d", gen, g)
+	}
+}

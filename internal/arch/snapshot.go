@@ -268,15 +268,19 @@ func (bl *MemBaseline) RestoreWith(delta *MemDelta) int {
 	return dirty
 }
 
-// writeFrame stores want (nil = zero) into the cell word by word, then
-// bumps the generation once — same store-then-bump order as Write64.
+// writeFrame stores want (nil = zero) into the cell, then bumps the
+// generation once — same store-then-bump order as Write64. Only the
+// words that differ are stored: a dirty frame usually differs from its
+// image in a few words. The bump happens even when none did, because
+// RestoreWith's baseline bookkeeping (forceDirty) relies on every
+// rewrite moving the generation.
 func writeFrame(c *frameCell, want *Frame) {
 	if want == nil {
-		for i := range c.f {
-			atomic.StoreUint64(&c.f[i], 0)
-		}
-	} else {
-		for i := range c.f {
+		zeroCell(c, 0, PTEsPerTable)
+		return
+	}
+	for i := range c.f {
+		if atomic.LoadUint64(&c.f[i]) != want[i] {
 			atomic.StoreUint64(&c.f[i], want[i])
 		}
 	}

@@ -140,3 +140,39 @@ func TestDiffMemoryFindsMismatch(t *testing.T) {
 		t.Fatalf("nonzero vs untouched must differ: %v", d)
 	}
 }
+
+// TestRestoreIdenticalFrameBumpsOnce: a frame whose generation moved
+// but whose content is back at the image value (or, for a zero image
+// frame, still zero) is rewritten by a restore with no word changed,
+// and its generation still moves by exactly one, so generation-keyed
+// consumers see the rewrite and the next idle restore skips it.
+func TestRestoreIdenticalFrameBumpsOnce(t *testing.T) {
+	m := NewMemory(testLayout())
+	base := m.RAMStart()
+	m.Write64(base, 0x1111)
+	m.ZeroPage(base + PageSize) // touched, zero in the image
+
+	img := m.CaptureImage()
+	bl, ok := img.NewBaseline(m)
+	if !ok {
+		t.Fatal("baseline over the captured memory must verify")
+	}
+	m.Write64(base, 0x1111)       // same value: gen moves, content does not
+	m.Write64(base+PageSize+8, 0) // same for the zero frame
+	g0, g1 := m.FrameGen(base), m.FrameGen(base+PageSize)
+	if n := bl.Restore(); n != 2 {
+		t.Fatalf("restore rewrote %d frames, want 2", n)
+	}
+	if g := m.FrameGen(base); g != g0+1 {
+		t.Fatalf("identical image frame: gen %d -> %d, want one bump", g0, g)
+	}
+	if g := m.FrameGen(base + PageSize); g != g1+1 {
+		t.Fatalf("identical zero frame: gen %d -> %d, want one bump", g1, g)
+	}
+	if m.Read64(base) != 0x1111 {
+		t.Fatal("restore changed the identical frame's content")
+	}
+	if n := bl.Restore(); n != 0 {
+		t.Fatalf("idle restore rewrote %d frames, want 0", n)
+	}
+}

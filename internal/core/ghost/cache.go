@@ -184,25 +184,22 @@ func (c *PgtableCache) update(m *arch.Memory, root arch.PhysAddr, spliced *[]vaR
 		}
 		pages++
 		t.seen = t.gen.Load()
-		var cur arch.Frame
-		m.ReadFrame(t.pfn.Phys(), &cur)
-		old := t.descs
-		for idx := range cur {
-			if cur[idx] == old[idx] {
-				continue
+		// The diff stores each changed descriptor into t.descs as it
+		// reports it. drop never reaches t itself (levels only grow
+		// below it), so the subtrees it walks still hold the
+		// descriptors they were built from.
+		level, vaBase := t.level, t.vaBase
+		m.DiffFrame(t.pfn.Phys(), t.descs, func(idx int, was, now arch.PTE) {
+			if was.Kind(level) == arch.EKTable {
+				c.drop(was.TableAddr(), level+1, vaBase|uint64(idx)<<arch.LevelShift(level))
 			}
-			was, now := old.PTE(idx), cur.PTE(idx)
-			if was.Kind(t.level) == arch.EKTable {
-				c.drop(was.TableAddr(), t.level+1, t.vaBase|uint64(idx)<<arch.LevelShift(t.level))
-			}
-			structural = structural || was.Kind(t.level) == arch.EKTable || now.Kind(t.level) == arch.EKTable
+			structural = structural || was.Kind(level) == arch.EKTable || now.Kind(level) == arch.EKTable
 			if n := len(runs); n > 0 && runs[n-1].slot == s && runs[n-1].hi == idx {
 				runs[n-1].hi++
 			} else {
-				runs = append(runs, changedRun{slot: s, lo: idx, hi: idx + 1, level: t.level, vaBase: t.vaBase})
+				runs = append(runs, changedRun{slot: s, lo: idx, hi: idx + 1, level: level, vaBase: vaBase})
 			}
-		}
-		*old = cur
+		})
 	}
 	c.runs = runs
 

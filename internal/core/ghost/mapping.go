@@ -37,9 +37,13 @@ const (
 // Target is the right-hand side of a maplet. For TargetMapped, page i
 // of the maplet maps to Phys + i*PageSize with Attrs; for
 // TargetAnnotated the range is unmapped and owned by Owner.
+//
+// Phys leads so that the byte-sized fields pack behind it: a Target is
+// 16 bytes and a Maplet 32, not 24 and 40. Every copy-on-write copy of
+// a maplet array moves these bytes.
 type Target struct {
-	Kind  TargetKind
 	Phys  arch.PhysAddr
+	Kind  TargetKind
 	Attrs arch.Attrs
 	Owner uint8
 }

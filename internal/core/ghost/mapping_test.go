@@ -3,6 +3,7 @@ package ghost
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ghostspec/internal/arch"
 )
@@ -13,6 +14,18 @@ var (
 )
 
 func page(n uint64) uint64 { return n << arch.PageShift }
+
+// TestMapletSize pins the packed layout: copy-on-write maplet copies
+// are most of the oracle's allocated bytes, and a field order that
+// pads Target back to 24 bytes makes every one of them 25% larger.
+func TestMapletSize(t *testing.T) {
+	if n := unsafe.Sizeof(Target{}); n != 16 {
+		t.Errorf("Target is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Maplet{}); n != 32 {
+		t.Errorf("Maplet is %d bytes, want 32", n)
+	}
+}
 
 func TestExtendCoalesces(t *testing.T) {
 	var m Mapping

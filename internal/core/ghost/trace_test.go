@@ -145,6 +145,17 @@ func TestMappingJSON(t *testing.T) {
 	if !EqualMappings(m, back) {
 		t.Errorf("round trip: %v -> %v", m, back)
 	}
+	// Traces saved before Target's fields were reordered list its keys
+	// Kind first; keys are matched by name, so they still load.
+	var old, want Mapping
+	want.Set(0x5000, 1, Annotated(7))
+	if err := old.UnmarshalJSON([]byte(`[{"VA":20480,"NrPages":1,` +
+		`"Target":{"Kind":1,"Phys":0,"Attrs":{"Perms":0,"Mem":0,"State":0},"Owner":7}}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if !EqualMappings(old, want) {
+		t.Errorf("old key order: got %v, want %v", old, want)
+	}
 	// Corrupt input is rejected.
 	if err := back.UnmarshalJSON([]byte(`[{"VA":0,"NrPages":0}]`)); err == nil {
 		t.Error("empty maplet accepted")

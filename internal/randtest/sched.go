@@ -13,18 +13,34 @@ var spanSchedReplay = trace.NewName("randtest.replay-sched")
 // more CPUs than the scheduler has still lands every op somewhere).
 // Each op's CPU is rewritten to its stream index — the stream *is* the
 // vCPU issuing it. Relative order within a stream is preserved; order
-// *across* streams is exactly what a schedule decides.
+// *across* streams is exactly what a schedule decides. The ops are
+// counted per stream first, so each stream is allocated once, at its
+// final length.
 func SplitByCPU(tr *Trace, n int) [][]Op {
+	counts := make([]int, n)
+	for i := range tr.Ops {
+		counts[streamOf(&tr.Ops[i], n)]++
+	}
 	streams := make([][]Op, n)
-	for _, op := range tr.Ops {
-		c := op.CPU % n
-		if c < 0 {
-			c = 0
+	for c, k := range counts {
+		if k > 0 {
+			streams[c] = make([]Op, 0, k)
 		}
+	}
+	for _, op := range tr.Ops {
+		c := streamOf(&op, n)
 		op.CPU = c
 		streams[c] = append(streams[c], op)
 	}
 	return streams
+}
+
+// streamOf is the stream SplitByCPU puts op in.
+func streamOf(op *Op, n int) int {
+	if c := op.CPU % n; c > 0 {
+		return c
+	}
+	return 0
 }
 
 // ReplayScheduled replays a trace with each vCPU's ops on its own
