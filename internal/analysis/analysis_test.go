@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -88,6 +90,66 @@ func TestGoldenBadSnippets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFindingText pins the full text of every finding (position,
+// analyzer and message) on the golden snippet packages and on
+// internal/bugdemo against testdata/findings.golden, so a change to
+// any analyzer's wording, column or path rules shows up as a diff.
+func TestFindingText(t *testing.T) {
+	ld, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := []string{filepath.Join(ld.ModRoot, "internal", "bugdemo")}
+	for _, d := range goldenDirs {
+		dirs = append(dirs, filepath.Join("testdata", "src", d))
+	}
+	var pkgs []*Package
+	for _, d := range dirs {
+		pkg, err := ld.LoadDir(d)
+		if err != nil {
+			t.Fatalf("load %s: %v", d, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	u := NewUniverse(ld)
+	var got []string
+	for _, pkg := range pkgs {
+		for _, a := range Analyzers() {
+			for _, f := range a.Run(u, pkg) {
+				if rel, err := filepath.Rel(ld.ModRoot, f.Pos.Filename); err == nil {
+					f.Pos.Filename = filepath.ToSlash(rel)
+				}
+				got = append(got, f.String())
+			}
+		}
+	}
+	sort.Strings(got)
+	raw, err := os.ReadFile(filepath.Join("testdata", "findings.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if strings.Join(got, "\n") == strings.Join(want, "\n") {
+		return
+	}
+	inGot, inWant := map[string]bool{}, map[string]bool{}
+	for _, l := range got {
+		inGot[l] = true
+	}
+	for _, l := range want {
+		inWant[l] = true
+		if !inGot[l] {
+			t.Errorf("- %s", l)
+		}
+	}
+	for _, l := range got {
+		if !inWant[l] {
+			t.Errorf("+ %s", l)
+		}
+	}
+	t.Errorf("findings differ from testdata/findings.golden (- golden, + now)")
 }
 
 // TestRepoClean is the in-process version of the CI ghostlint run:
