@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -25,13 +27,12 @@ import (
 //	    TLBI or not: the walk may cache either descriptor.
 //
 // A break with no make (entry left invalid at path end) is legal —
-// that is an unmap, and the empty-table reclaim path relies on it.
-// Branches fork the per-entry state; at the join an entry survives
-// only if both sides agree, except that a pending (un-invalidated)
-// break on either side survives the join — losing it would hide a
-// missing TLBI behind any branch. Loop bodies are analyzed once from
-// the loop-entry state, in isolation: cross-iteration sequences are
-// out of scope (the runtime oracle covers them), which also keeps the
+// that is an unmap, and the empty-table reclaim path relies on it. At
+// a join an entry survives only if both sides agree, except that a
+// pending (un-invalidated) break on either side survives — losing it
+// would hide a missing TLBI behind any branch. Loop bodies are checked
+// from the loop-entry state alone: cross-iteration sequences are out
+// of scope (the runtime oracle covers them), which also keeps the
 // per-iteration break→TLBI→make pattern of mutateRange clean.
 //
 // internal/arch is exempt: it implements the memory model and the TLB
@@ -52,8 +53,8 @@ func (bc *BBMCheck) Run(u *Universe, pkg *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a := &bbmAnalysis{u: u, pkg: pkg, out: &out, fname: fd.Name.Name}
-			_ = a.block(fd.Body.List, bbmState{})
+			a := &bbmFlow{u: u, pkg: pkg, out: &out, fname: fd.Name.Name}
+			flow[bbmState]{pkg, a}.body(fd.Body, bbmState{}, "function end")
 		}
 	}
 	return out
@@ -70,13 +71,7 @@ type bbmWrite struct {
 // of the same entry is invisible, as documented.
 type bbmState map[string]bbmWrite
 
-func (s bbmState) clone() bbmState {
-	c := make(bbmState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (s bbmState) clone() bbmState { return maps.Clone(s) }
 
 // merge joins two branch states: agreement survives, a pending break
 // on either side survives (conservatively keeping B1 armed), anything
@@ -106,14 +101,15 @@ func mergeBBM(a, b bbmState) bbmState {
 	return out
 }
 
-type bbmAnalysis struct {
+// bbmFlow is bbmcheck's set of flow hooks over bbmState.
+type bbmFlow struct {
 	u     *Universe
 	pkg   *Package
 	out   *[]Finding
 	fname string
 }
 
-func (a *bbmAnalysis) report(n ast.Node, format string, args ...any) {
+func (a *bbmFlow) report(n ast.Node, format string, args ...any) {
 	*a.out = append(*a.out, Finding{
 		Pos:      a.u.Fset.Position(n.Pos()),
 		Analyzer: "bbmcheck",
@@ -121,203 +117,37 @@ func (a *bbmAnalysis) report(n ast.Node, format string, args ...any) {
 	})
 }
 
-// block walks a statement list, threading the per-entry state. The
-// return value reports whether the path definitely exits (return,
-// break/continue, panic) — exited branches are excluded from joins.
-func (a *bbmAnalysis) block(list []ast.Stmt, st bbmState) bool {
-	for _, s := range list {
-		if a.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
+func (a *bbmFlow) join(_ ast.Stmt, x, y bbmState) bbmState { return mergeBBM(x, y) }
 
-func (a *bbmAnalysis) stmt(s ast.Stmt, st bbmState) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.block(s.List, st)
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, st)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			a.scan(r, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		a.scan(s.Cond, st)
-		thenSt := st.clone()
-		thenExited := a.block(s.Body.List, thenSt)
-		elseSt := st.clone()
-		elseExited := false
-		if s.Else != nil {
-			elseExited = a.stmt(s.Else, elseSt)
-		}
-		var merged bbmState
-		switch {
-		case thenExited && elseExited:
-			return true
-		case thenExited:
-			merged = elseSt
-		case elseExited:
-			merged = thenSt
-		default:
-			merged = mergeBBM(thenSt, elseSt)
-		}
-		replaceBBM(st, merged)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		a.scan(s.Cond, st)
-		body := st.clone()
-		if !a.block(s.Body.List, body) && s.Post != nil {
-			a.stmt(s.Post, body)
-		}
-		// Continue with the entry state: zero iterations are possible
-		// and cross-iteration sequences are out of scope.
-	case *ast.RangeStmt:
-		a.scan(s.X, st)
-		body := st.clone()
-		_ = a.block(s.Body.List, body)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		a.caseBranches(s, st)
-	case *ast.DeferStmt:
-		// A deferred TLBI runs at return, after any make on the path:
-		// it does not satisfy the break→TLBI→make order, so only the
-		// arguments are scanned.
-		for _, arg := range s.Call.Args {
-			a.scan(arg, st)
-		}
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			a.scan(arg, st)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			_ = a.block(lit.Body.List, bbmState{})
-		}
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isBuiltin(a.pkg, call, "panic") {
-			a.scan(s.X, st)
-			return true
-		}
-		a.scan(s.X, st)
-	default:
-		// Straight-line statements: apply nested writes/TLBIs in
-		// source order.
-		a.scan(s, st)
-	}
-	return false
-}
+// enter: a literal runs later (or elsewhere), so its body is checked
+// in isolation.
+func (a *bbmFlow) enter(bbmState, bool) bbmState { return bbmState{} }
 
-// replaceBBM overwrites dst in place with src.
-func replaceBBM(dst, src bbmState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
+func (a *bbmFlow) visit(ast.Node, bbmState)         {}
+func (a *bbmFlow) exit(token.Pos, bbmState, string) {}
 
-// caseBranches forks each case/comm clause from the shared entry
-// state and rejoins the non-exiting ones.
-func (a *bbmAnalysis) caseBranches(s ast.Stmt, st bbmState) {
-	var body *ast.BlockStmt
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		a.scan(s.Tag, st)
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	hasDefault := false
-	var branches []bbmState
-	for _, cs := range body.List {
-		branch := st.clone()
-		exited := false
-		switch cc := cs.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				hasDefault = true
-			}
-			for _, e := range cc.List {
-				a.scan(e, st)
-			}
-			exited = a.block(cc.Body, branch)
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				a.stmt(cc.Comm, branch)
-			}
-			exited = a.block(cc.Body, branch)
-		}
-		if !exited {
-			branches = append(branches, branch)
-		}
-	}
-	if !hasDefault {
-		branches = append(branches, st.clone()) // the no-case-taken path
-	}
-	if len(branches) == 0 {
-		replaceBBM(st, bbmState{})
+// deferred: a deferred TLBI runs at return, after any make on the
+// path, so it does not satisfy the break→TLBI→make order.
+func (a *bbmFlow) deferred(*ast.DeferStmt, bbmState) {}
+
+// call applies a WritePTE store or a TLBI emission.
+func (a *bbmFlow) call(call *ast.CallExpr, _ ast.Stmt, st bbmState) {
+	if table, idx, val, ok := a.writePTECall(call); ok {
+		a.applyWrite(call, table, idx, val, st)
 		return
 	}
-	merged := branches[0]
-	for _, b := range branches[1:] {
-		merged = mergeBBM(merged, b)
-	}
-	replaceBBM(st, merged)
-}
-
-// scan applies every WritePTE / TLBI event nested in a statement or
-// expression, in source order (which matches evaluation order for the
-// straight-line shapes page-table code uses).
-func (a *bbmAnalysis) scan(n ast.Node, st bbmState) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		if lit, ok := c.(*ast.FuncLit); ok {
-			// A literal runs later (or elsewhere): analyze its body in
-			// isolation.
-			a.block(lit.Body.List, bbmState{})
-			return false
-		}
-		call, ok := c.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if table, idx, val, ok := a.writePTECall(call); ok {
-			a.applyWrite(call, table, idx, val, st)
-			return true
-		}
-		if isTLBIEmission(a.pkg, call) {
-			for k, w := range st {
-				if w.zero && !w.tlbi {
-					w.tlbi = true
-					st[k] = w
-				}
+	if isTLBIEmission(a.pkg, call) {
+		for k, w := range st {
+			if w.zero && !w.tlbi {
+				w.tlbi = true
+				st[k] = w
 			}
 		}
-		return true
-	})
+	}
 }
 
 // writePTECall matches (*arch.Memory).WritePTE(table, idx, val).
-func (a *bbmAnalysis) writePTECall(call *ast.CallExpr) (table, idx, val ast.Expr, ok bool) {
+func (a *bbmFlow) writePTECall(call *ast.CallExpr) (table, idx, val ast.Expr, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel || sel.Sel.Name != "WritePTE" || len(call.Args) != 3 {
 		return nil, nil, nil, false
@@ -328,7 +158,7 @@ func (a *bbmAnalysis) writePTECall(call *ast.CallExpr) (table, idx, val ast.Expr
 	return call.Args[0], call.Args[1], call.Args[2], true
 }
 
-func (a *bbmAnalysis) applyWrite(call *ast.CallExpr, table, idx, val ast.Expr, st bbmState) {
+func (a *bbmFlow) applyWrite(call *ast.CallExpr, table, idx, val ast.Expr, st bbmState) {
 	key := types.ExprString(table) + "|" + types.ExprString(idx)
 	zero := isConstZero(a.pkg, val)
 	prev, known := st[key]

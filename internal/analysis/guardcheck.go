@@ -16,9 +16,8 @@ import (
 //	//ghost:guards lock=self
 //
 // may only be read or written while its guard holds. The held-lock
-// state comes from the same fork/merge abstract interpretation
-// lockcheck runs (lockAnalysis, via its observer hook), extended
-// interprocedurally with the Universe's lock-effect summaries: a call
+// state is lockcheck's, extended interprocedurally with the
+// Universe's lock-effect summaries: a call
 // to a helper that acquires the host lock leaves "host" held in the
 // caller's state, so field accesses after the call are legal.
 //
@@ -44,8 +43,9 @@ type GuardCheck struct{}
 
 func (*GuardCheck) Name() string { return "guardcheck" }
 
-// isConstructorScope mirrors telemetrycheck's rule: constructors and
-// init functions build state that nothing else can see yet.
+// isConstructorScope reports constructors and init functions, which
+// build state that nothing else can see yet; guardcheck and
+// telemetrycheck's registration rule exempt them.
 func isConstructorScope(name string) bool {
 	return name == "init" || strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }
@@ -71,54 +71,86 @@ func (gc *GuardCheck) Run(u *Universe, pkg *Package) []Finding {
 }
 
 func (gc *GuardCheck) checkFunc(u *Universe, pkg *Package, fd *ast.FuncDecl, out *[]Finding) {
-	recvType := receiverTypeObj(pkg, fd)
-	seen := make(map[token.Pos]bool)
-	skipKeys := make(map[*ast.Ident]bool)
-	// The pairing walker's own findings are lockcheck's to report;
-	// this run only wants the state stream.
+	// The pairing findings of the embedded lock hooks are lockcheck's
+	// to report; this walk only wants the held set.
 	var scratch []Finding
-	a := &lockAnalysis{
-		u: u, pkg: pkg, out: &scratch, fname: fd.Name.Name,
-		summaries: true,
-		observe: func(n ast.Node, st lockState) {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				// Literal field keys initialize a fresh value; they are
-				// not accesses to shared state.
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							skipKeys[id] = true
-						}
-					}
-				}
-			case *ast.Ident:
-				if skipKeys[n] || seen[n.Pos()] {
-					return
-				}
-				obj := pkg.Info.Uses[n]
-				if obj == nil {
-					return
-				}
-				g := u.GuardOf(obj)
-				if g == nil || guardSatisfied(g, st, recvType) {
-					return
-				}
-				seen[n.Pos()] = true
-				*out = append(*out, Finding{
-					Pos:      u.Fset.Position(n.Pos()),
-					Analyzer: "guardcheck",
-					Message:  guardMessage(fd.Name.Name, g, st),
-				})
-			}
-		},
+	g := &guardFlow{
+		lockFlow: newLockFlow(u, pkg, &scratch, fd.Name.Name),
+		recvType: receiverTypeObj(pkg, fd),
+		seen:     make(map[token.Pos]bool),
+		skipKeys: make(map[*ast.Ident]bool),
+		findings: out,
 	}
-	a.analyzeFuncDecl(fd)
+	flow[heldSet]{pkg, g}.body(fd.Body, lockEntry(u, pkg, fd), "function end")
+}
+
+// guardFlow is guardcheck's set of flow hooks: lockcheck's, plus the
+// callees' lock-effect summaries, plus the guard check at every
+// identifier the walk evaluates.
+type guardFlow struct {
+	*lockFlow
+	recvType types.Object
+	seen     map[token.Pos]bool
+	skipKeys map[*ast.Ident]bool
+	findings *[]Finding
+}
+
+// call applies the callee's net lock effect after lockcheck's rules,
+// when it has one. Lockcheck itself does without: its per-function
+// pairing rules already see every wrapper body directly.
+func (g *guardFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
+	g.lockFlow.call(call, at, st)
+	if op, _, _ := classifyLockCall(g.pkg, call); op != opNone {
+		return
+	}
+	if callee := resolveCallee(g.pkg, call); callee != nil {
+		if eff := g.u.LockEffectOf(callee); eff != nil {
+			for _, c := range eff.Releases {
+				delete(st, c)
+			}
+			for _, c := range eff.Acquires {
+				st[c] = heldActive
+			}
+		}
+	}
+}
+
+func (g *guardFlow) visit(n ast.Node, st heldSet) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		// Literal field keys initialize a fresh value; they are not
+		// accesses to shared state.
+		for _, el := range n.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					g.skipKeys[id] = true
+				}
+			}
+		}
+	case *ast.Ident:
+		if g.skipKeys[n] || g.seen[n.Pos()] {
+			return
+		}
+		obj := g.pkg.Info.Uses[n]
+		if obj == nil {
+			return
+		}
+		guard := g.u.GuardOf(obj)
+		if guard == nil || guardSatisfied(guard, st, g.recvType) {
+			return
+		}
+		g.seen[n.Pos()] = true
+		*g.findings = append(*g.findings, Finding{
+			Pos:      g.u.Fset.Position(n.Pos()),
+			Analyzer: "guardcheck",
+			Message:  guardMessage(g.fname, guard, st),
+		})
+	}
 }
 
 // guardSatisfied decides whether the held-lock state (plus the
 // enclosing method's receiver type for lock=self) satisfies a guard.
-func guardSatisfied(g *Guard, st lockState, recvType types.Object) bool {
+func guardSatisfied(g *Guard, st heldSet, recvType types.Object) bool {
 	switch {
 	case g.Self:
 		return recvType != nil && g.DeclType != nil && recvType == g.DeclType
@@ -134,7 +166,7 @@ func guardSatisfied(g *Guard, st lockState, recvType types.Object) bool {
 	return held
 }
 
-func guardMessage(fname string, g *Guard, st lockState) string {
+func guardMessage(fname string, g *Guard, st heldSet) string {
 	field := g.TypeName + "." + g.FieldName
 	switch {
 	case g.Self:

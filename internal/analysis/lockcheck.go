@@ -1,11 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
 )
 
 // LockCheck verifies the lock discipline the ghost oracle depends on
@@ -20,13 +17,6 @@ import (
 //	L4  a lock that is released explicitly (not via defer) is never
 //	    held across a call that can reach hypPanic — panic unwinding
 //	    would leak it.
-//
-// The interpretation is deliberately simple: branches fork the state
-// and must rejoin equal (or divergence is itself a finding), loop
-// bodies must be lock-balanced, and break/continue/goto end a path
-// conservatively. That is exactly the shape of locking the
-// hypervisor's hypercall handlers use; code that needs something
-// fancier should restructure, not defeat the checker.
 type LockCheck struct{}
 
 func (*LockCheck) Name() string { return "lockcheck" }
@@ -39,171 +29,41 @@ func (lc *LockCheck) Run(u *Universe, pkg *Package) []Finding {
 			if !ok || fd.Body == nil || isLockPrimitive(fd) {
 				continue
 			}
-			a := &lockAnalysis{u: u, pkg: pkg, out: &out, fname: fd.Name.Name}
-			a.analyzeFuncDecl(fd)
+			a := newLockFlow(u, pkg, &out, fd.Name.Name)
+			flow[heldSet]{pkg, a}.body(fd.Body, lockEntry(u, pkg, fd), "function end")
 		}
 	}
 	return out
 }
 
-// holdMode distinguishes how a held lock will be released.
-type holdMode int
+// lockFlow is lockcheck's set of flow hooks over the held-lock set,
+// keyed by component.
+type lockFlow struct{ heldFlow }
 
-const (
-	// holdActive: acquired here, must be explicitly unlocked on every
-	// path; unsafe across may-panic calls.
-	holdActive holdMode = iota
-	// holdDeferred: a defer releases it; safe across panics.
-	holdDeferred
-	// holdAssumed: held by the caller per //ghost:requires; not this
-	// function's responsibility to release.
-	holdAssumed
-)
-
-// lockState maps component key → hold mode.
-type lockState map[string]holdMode
-
-func (s lockState) clone() lockState {
-	c := make(lockState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
+func newLockFlow(u *Universe, pkg *Package, out *[]Finding, fname string) *lockFlow {
+	return &lockFlow{heldFlow{u: u, pkg: pkg, out: out, fname: fname, analyzer: "lockcheck", mismatch: lockMismatch}}
 }
 
-func (s lockState) equal(o lockState) bool {
-	if len(s) != len(o) {
-		return false
+func lockMismatch(at ast.Stmt) string {
+	switch at.(type) {
+	case *ast.IfStmt:
+		return "%s: branches leave different locks held (then: %s; else: %s); unlock on both paths or restructure"
+	case *ast.ForStmt:
+		return "%s: loop body changes the held-lock set (entry: %s; after one iteration: %s); each iteration must be lock-balanced"
+	case *ast.RangeStmt:
+		return "%s: range body changes the held-lock set (entry: %s; after one iteration: %s); each iteration must be lock-balanced"
+	case *ast.SelectStmt:
+		return "%s: select cases leave different locks held (%s vs %s); unlock in every case or restructure"
 	}
-	for k, v := range s {
-		if ov, ok := o[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
+	return "%s: switch cases leave different locks held (%s vs %s); unlock in every case or restructure"
 }
 
-// replaceWith overwrites s in place with o.
-func (s lockState) replaceWith(o lockState) {
-	for k := range s {
-		delete(s, k)
-	}
-	for k, v := range o {
-		s[k] = v
-	}
-}
-
-// intersectOf keeps only entries present with equal mode in both.
-func intersectOf(a, b lockState) lockState {
-	out := make(lockState)
-	for k, v := range a {
-		if bv, ok := b[k]; ok && bv == v {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// activeComps lists components in holdActive mode, sorted.
-func (s lockState) activeComps() []string {
-	var out []string
-	for k, v := range s {
-		if v == holdActive {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// describe renders the held set for diagnostics.
-func (s lockState) describe() string {
-	if len(s) == 0 {
-		return "(none)"
-	}
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
-}
-
-// flowKind is a statement's effect on control flow.
-type flowKind int
-
-const (
-	flowNormal flowKind = iota
-	flowExit            // return, panic, break/continue/goto (conservative)
-)
-
-type lockAnalysis struct {
-	u     *Universe
-	pkg   *Package
-	out   *[]Finding
-	fname string
-
-	// observe, when set, is invoked for every expression node the
-	// walker visits together with the held-lock state on that path —
-	// guardcheck rides the same fork/merge interpretation this way
-	// instead of duplicating it.
-	observe func(n ast.Node, st lockState)
-
-	// summaries applies call-graph lock-effect summaries at call
-	// sites (guardcheck's interprocedural mode). Lockcheck proper
-	// leaves it off: its per-function pairing rules already see every
-	// wrapper body directly.
-	summaries bool
-}
-
-// observeTree feeds a whole expression subtree to the observer
-// without any state effects (used for call receivers, which the
-// pairing walker itself has no reason to scan).
-func (a *lockAnalysis) observeTree(e ast.Expr, st lockState) {
-	if a.observe == nil || e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		a.observe(n, st)
-		return true
-	})
-}
-
-// applySummary mutates st with the callee's net lock effect, when one
-// exists.
-func (a *lockAnalysis) applySummary(call *ast.CallExpr, st lockState) {
-	if !a.summaries {
-		return
-	}
-	callee := resolveCallee(a.pkg, call)
-	if callee == nil {
-		return
-	}
-	if eff := a.u.LockEffectOf(callee); eff != nil {
-		for _, c := range eff.Releases {
-			delete(st, c)
-		}
-		for _, c := range eff.Acquires {
-			st[c] = holdActive
-		}
-	}
-}
-
-func (a *lockAnalysis) report(pos token.Pos, format string, args ...any) {
-	*a.out = append(*a.out, Finding{
-		Pos:      a.u.Fset.Position(pos),
-		Analyzer: "lockcheck",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-func (a *lockAnalysis) analyzeFuncDecl(fd *ast.FuncDecl) {
-	st := lockState{}
-	if obj := a.pkg.Info.Defs[fd.Name]; obj != nil {
-		if req := a.u.RequiresOf(obj); req != nil {
+// lockEntry is the held set at the top of fd's body: the locks its
+// //ghost:requires annotation says the caller holds.
+func lockEntry(u *Universe, pkg *Package, fd *ast.FuncDecl) heldSet {
+	st := heldSet{}
+	if obj := pkg.Info.Defs[fd.Name]; obj != nil {
+		if req := u.RequiresOf(obj); req != nil {
 			if req.Dynamic || req.Owner {
 				// The body may run under any discipline lock; assume
 				// all of them so nested requires and rank checks
@@ -211,105 +71,58 @@ func (a *lockAnalysis) analyzeFuncDecl(fd *ast.FuncDecl) {
 				// dynamically (lock=dynamic) or per-receiver
 				// (lock=owner).
 				for c := range LockRanks {
-					st[c] = holdAssumed
+					st[c] = heldAssumed
 				}
 			}
 			for _, c := range req.Comps {
-				st[c] = holdAssumed
+				st[c] = heldAssumed
 			}
 		}
 	}
-	if a.stmts(fd.Body.List, st) == flowNormal {
-		a.checkExit(fd.Body.End(), st, "function end")
-	}
+	return st
 }
 
-// checkExit reports active locks still held at a path exit.
-func (a *lockAnalysis) checkExit(pos token.Pos, st lockState, where string) {
-	for _, c := range st.activeComps() {
+// enter: a literal that runs inline (or escapes) may execute under the
+// current locks, which it must not release or leak; a goroutine does
+// not inherit the parent's critical section.
+func (a *lockFlow) enter(st heldSet, spawned bool) heldSet {
+	entry := heldSet{}
+	if !spawned {
+		for k := range st {
+			entry[k] = heldAssumed
+		}
+	}
+	return entry
+}
+
+// exit reports locks still held at a path exit (L1).
+func (a *lockFlow) exit(pos token.Pos, st heldSet, where string) {
+	for _, c := range st.active() {
 		a.report(pos, "%s: lock %q still held at %s with no unlock on this path (prefer defer)",
 			a.fname, c, where)
 	}
 }
 
-func (a *lockAnalysis) stmts(list []ast.Stmt, st lockState) flowKind {
-	for _, s := range list {
-		if a.stmt(s, st) == flowExit {
-			return flowExit
-		}
-	}
-	return flowNormal
-}
-
-func (a *lockAnalysis) stmt(s ast.Stmt, st lockState) flowKind {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			return a.callStmt(call, st)
-		}
-		a.exprs(st, s.X)
-	case *ast.DeferStmt:
-		a.deferStmt(s, st)
-	case *ast.ReturnStmt:
-		a.exprs(st, s.Results...)
-		a.checkExit(s.Pos(), st, "return")
-		return flowExit
-	case *ast.AssignStmt:
-		a.exprs(st, s.Rhs...)
-		a.exprs(st, s.Lhs...)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					a.exprs(st, vs.Values...)
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		a.exprs(st, s.X)
-	case *ast.SendStmt:
-		a.exprs(st, s.Chan, s.Value)
-	case *ast.GoStmt:
-		a.goStmt(s, st)
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, st)
-	case *ast.BlockStmt:
-		return a.stmts(s.List, st)
-	case *ast.IfStmt:
-		return a.ifStmt(s, st)
-	case *ast.ForStmt:
-		a.forStmt(s, st)
-	case *ast.RangeStmt:
-		a.rangeStmt(s, st)
-	case *ast.SwitchStmt:
-		return a.switchStmt(s, st)
-	case *ast.TypeSwitchStmt:
-		return a.typeSwitchStmt(s, st)
-	case *ast.SelectStmt:
-		a.selectStmt(s, st)
-	case *ast.BranchStmt:
-		// break/continue/goto terminate this straight-line path; the
-		// loop-balance rule keeps this conservative rather than wrong.
-		return flowExit
-	}
-	return flowNormal
-}
-
-// callStmt handles a statement-level call: lock classification,
-// annotation/panic-safety checks, and definite-exit detection.
-func (a *lockAnalysis) callStmt(call *ast.CallExpr, st lockState) flowKind {
-	a.exprs(st, call.Args...)
-	if _, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); !isLit {
-		a.observeTree(call.Fun, st)
-	}
+// call applies a lock operation, or checks any other call (L3, L4).
+// A lock operation inside an expression (`ok := l.TryLock()` is rare
+// but legal) updates the state without the pairing checks.
+func (a *lockFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
 	op, comp, ranked := classifyLockCall(a.pkg, call)
-	switch op {
-	case opAcquire:
-		if _, held := st[comp]; held {
-			a.report(call.Pos(), "%s: acquisition of %q while already holding it on this path",
-				a.fname, comp)
-			return flowNormal
+	_, held := st[comp]
+	_, isStmt := at.(*ast.ExprStmt)
+	switch {
+	case op == opNone:
+		a.checkCall(call, st)
+	case !isStmt:
+		if op == opAcquire && !held {
+			st[comp] = heldActive
+		} else if op == opRelease && held {
+			delete(st, comp)
 		}
+	case op == opAcquire && held:
+		a.report(call.Pos(), "%s: acquisition of %q while already holding it on this path",
+			a.fname, comp)
+	case op == opAcquire:
 		if ranked {
 			newRank := LockRanks[comp]
 			for held := range st {
@@ -320,47 +133,17 @@ func (a *lockAnalysis) callStmt(call *ast.CallExpr, st lockState) flowKind {
 				}
 			}
 		}
-		st[comp] = holdActive
-	case opRelease:
-		if _, held := st[comp]; held {
-			delete(st, comp)
-		} else {
-			a.report(call.Pos(), "%s: unlock of %q, which is not held on this path", a.fname, comp)
-		}
+		st[comp] = heldActive
+	case held:
+		delete(st, comp)
 	default:
-		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-			// Immediately-invoked literal: runs inline under the
-			// current locks.
-			entry := lockState{}
-			for k := range st {
-				entry[k] = holdAssumed
-			}
-			a.funcLit(lit, entry)
-			return flowNormal
-		}
-		a.checkCall(call, st)
-		a.applySummary(call, st)
-		if a.definitelyPanics(call) {
-			return flowExit
-		}
+		a.report(call.Pos(), "%s: unlock of %q, which is not held on this path", a.fname, comp)
 	}
-	return flowNormal
-}
-
-// definitelyPanics reports calls that never return normally: the
-// panic builtin and the hypervisor's hypPanic channel.
-func (a *lockAnalysis) definitelyPanics(call *ast.CallExpr) bool {
-	if isBuiltin(a.pkg, call, "panic") {
-		return true
-	}
-	callee := resolveCallee(a.pkg, call)
-	return callee != nil && callee.Name() == "hypPanic" && callee.Pkg() != nil &&
-		strings.HasSuffix(callee.Pkg().Path(), "internal/hyp")
 }
 
 // checkCall enforces //ghost:requires at a call site (L3) and the
 // panic-safety rule (L4).
-func (a *lockAnalysis) checkCall(call *ast.CallExpr, st lockState) {
+func (a *lockFlow) checkCall(call *ast.CallExpr, st heldSet) {
 	callee := resolveCallee(a.pkg, call)
 	if callee == nil {
 		return
@@ -382,7 +165,7 @@ func (a *lockAnalysis) checkCall(call *ast.CallExpr, st lockState) {
 		}
 	}
 	if a.u.MayPanic(callee) {
-		for _, c := range st.activeComps() {
+		for _, c := range st.active() {
 			a.report(call.Pos(),
 				"%s: lock %q is held across call to %s, which can reach hypPanic; release it via defer so panic unwinding unlocks it",
 				a.fname, c, callee.Name())
@@ -390,239 +173,18 @@ func (a *lockAnalysis) checkCall(call *ast.CallExpr, st lockState) {
 	}
 }
 
-// deferStmt registers deferred releases: a direct lock helper call,
-// or a func literal whose body contains release calls.
-func (a *lockAnalysis) deferStmt(s *ast.DeferStmt, st lockState) {
-	a.exprs(st, s.Call.Args...)
-	if op, comp, _ := classifyLockCall(a.pkg, s.Call); op == opRelease {
-		if _, held := st[comp]; held {
-			st[comp] = holdDeferred
-		} else {
-			a.report(s.Pos(), "%s: deferred unlock of %q, which is not held here", a.fname, comp)
-		}
-		return
-	}
-	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, comp, _ := classifyLockCall(a.pkg, call); op == opRelease {
-				if _, held := st[comp]; held {
-					st[comp] = holdDeferred
-				}
-			}
-			return true
-		})
-	}
-}
-
-// goStmt analyzes a spawned goroutine body from an empty lock state:
-// the child does not inherit the parent's critical section.
-func (a *lockAnalysis) goStmt(s *ast.GoStmt, st lockState) {
-	a.exprs(st, s.Call.Args...)
-	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-		a.funcLit(lit, lockState{})
-	}
-}
-
-// funcLit analyzes a function literal's body with the given entry
-// state; locally-acquired locks must still balance.
-func (a *lockAnalysis) funcLit(lit *ast.FuncLit, entry lockState) {
-	if lit.Body == nil {
-		return
-	}
-	if a.stmts(lit.Body.List, entry) == flowNormal {
-		a.checkExit(lit.Body.End(), entry, "end of function literal")
-	}
-}
-
-// exprs scans expressions for nested calls (annotation/panic checks)
-// and function literals. Lock operations buried in expressions are
-// also honoured (e.g. `ok := l.TryLock()` is rare but legal).
-func (a *lockAnalysis) exprs(st lockState, exprs ...ast.Expr) {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			if a.observe != nil {
-				a.observe(n, st)
-			}
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				// A literal that runs inline (or escapes) may execute
-				// under the current locks; treat them as
-				// caller-managed while still checking its own
-				// acquisitions.
-				entry := lockState{}
-				for k := range st {
-					entry[k] = holdAssumed
-				}
-				a.funcLit(n, entry)
-				return false
-			case *ast.CallExpr:
-				if op, comp, _ := classifyLockCall(a.pkg, n); op != opNone {
-					// Expression-position lock ops mutate state like
-					// statement-level ones.
-					if op == opAcquire {
-						if _, held := st[comp]; !held {
-							st[comp] = holdActive
-						}
-					} else if _, held := st[comp]; held {
-						delete(st, comp)
-					}
-					return true
-				}
-				a.checkCall(n, st)
-				a.applySummary(n, st)
-			}
-			return true
-		})
-	}
-}
-
-func (a *lockAnalysis) ifStmt(s *ast.IfStmt, st lockState) flowKind {
-	if s.Init != nil {
-		if a.stmt(s.Init, st) == flowExit {
-			return flowExit
+// deferred registers deferred releases: a direct lock helper call, or
+// the release calls in a deferred literal's body.
+func (a *lockFlow) deferred(d *ast.DeferStmt, st heldSet) {
+	if op, comp, _ := classifyLockCall(a.pkg, d.Call); op == opRelease {
+		if _, held := st[comp]; !held {
+			a.report(d.Pos(), "%s: deferred unlock of %q, which is not held here", a.fname, comp)
 		}
 	}
-	a.exprs(st, s.Cond)
-	thenSt := st.clone()
-	thenFlow := a.stmts(s.Body.List, thenSt)
-	elseSt := st.clone()
-	elseFlow := flowNormal
-	if s.Else != nil {
-		elseFlow = a.stmt(s.Else, elseSt)
-	}
-	switch {
-	case thenFlow == flowExit && elseFlow == flowExit:
-		return flowExit
-	case thenFlow == flowExit:
-		st.replaceWith(elseSt)
-	case elseFlow == flowExit:
-		st.replaceWith(thenSt)
-	default:
-		if !thenSt.equal(elseSt) {
-			a.report(s.Pos(),
-				"%s: branches leave different locks held (then: %s; else: %s); unlock on both paths or restructure",
-				a.fname, thenSt.describe(), elseSt.describe())
-			st.replaceWith(intersectOf(thenSt, elseSt))
-		} else {
-			st.replaceWith(thenSt)
+	st.deferReleases(d.Call, func(c *ast.CallExpr) string {
+		if op, comp, _ := classifyLockCall(a.pkg, c); op == opRelease {
+			return comp
 		}
-	}
-	return flowNormal
-}
-
-func (a *lockAnalysis) forStmt(s *ast.ForStmt, st lockState) {
-	if s.Init != nil {
-		a.stmt(s.Init, st)
-	}
-	a.exprs(st, s.Cond)
-	entry := st.clone()
-	bodySt := st.clone()
-	flow := a.stmts(s.Body.List, bodySt)
-	if s.Post != nil {
-		a.stmt(s.Post, bodySt)
-	}
-	if flow == flowNormal && !bodySt.equal(entry) {
-		a.report(s.Pos(),
-			"%s: loop body changes the held-lock set (entry: %s; after one iteration: %s); each iteration must be lock-balanced",
-			a.fname, entry.describe(), bodySt.describe())
-	}
-	// Continue with the entry state: the loop may run zero times.
-}
-
-func (a *lockAnalysis) rangeStmt(s *ast.RangeStmt, st lockState) {
-	a.exprs(st, s.X)
-	entry := st.clone()
-	bodySt := st.clone()
-	flow := a.stmts(s.Body.List, bodySt)
-	if flow == flowNormal && !bodySt.equal(entry) {
-		a.report(s.Pos(),
-			"%s: range body changes the held-lock set (entry: %s; after one iteration: %s); each iteration must be lock-balanced",
-			a.fname, entry.describe(), bodySt.describe())
-	}
-}
-
-func (a *lockAnalysis) switchStmt(s *ast.SwitchStmt, st lockState) flowKind {
-	if s.Init != nil {
-		if a.stmt(s.Init, st) == flowExit {
-			return flowExit
-		}
-	}
-	a.exprs(st, s.Tag)
-	return a.caseClauses(s.Body, s.Pos(), st, func(cc *ast.CaseClause) {
-		a.exprs(st, cc.List...)
+		return ""
 	})
-}
-
-func (a *lockAnalysis) typeSwitchStmt(s *ast.TypeSwitchStmt, st lockState) flowKind {
-	if s.Init != nil {
-		if a.stmt(s.Init, st) == flowExit {
-			return flowExit
-		}
-	}
-	return a.caseClauses(s.Body, s.Pos(), st, nil)
-}
-
-// caseClauses analyzes switch cases as parallel branches that must
-// rejoin with equal lock state.
-func (a *lockAnalysis) caseClauses(body *ast.BlockStmt, pos token.Pos, st lockState,
-	scanCase func(*ast.CaseClause)) flowKind {
-	var normals []lockState
-	hasDefault := false
-	for _, cs := range body.List {
-		cc, ok := cs.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		if scanCase != nil {
-			scanCase(cc)
-		}
-		caseSt := st.clone()
-		if a.stmts(cc.Body, caseSt) == flowNormal {
-			normals = append(normals, caseSt)
-		}
-	}
-	if !hasDefault {
-		normals = append(normals, st.clone())
-	}
-	if len(normals) == 0 {
-		return flowExit
-	}
-	merged := normals[0]
-	for _, n := range normals[1:] {
-		if !n.equal(merged) {
-			a.report(pos,
-				"%s: switch cases leave different locks held (%s vs %s); unlock in every case or restructure",
-				a.fname, merged.describe(), n.describe())
-			merged = intersectOf(merged, n)
-		}
-	}
-	st.replaceWith(merged)
-	return flowNormal
-}
-
-// selectStmt analyzes each comm clause independently; select is not
-// used on hypervisor lock paths, so no merge discipline is imposed
-// beyond per-clause balance.
-func (a *lockAnalysis) selectStmt(s *ast.SelectStmt, st lockState) {
-	for _, cs := range s.Body.List {
-		cc, ok := cs.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		clauseSt := st.clone()
-		if cc.Comm != nil {
-			a.stmt(cc.Comm, clauseSt)
-		}
-		a.stmts(cc.Body, clauseSt)
-	}
 }

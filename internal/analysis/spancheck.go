@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -17,89 +15,11 @@ import (
 //	sp := tr.Begin(lane, name)
 //	defer sp.End()
 //
-// and the walker — the same fork/merge abstract interpretation
-// lockcheck applies to held locks — verifies exactly that discipline:
-// a Begin whose handle is discarded, or whose End is missing on some
-// return path, or that branches disagree about, is a finding.
-// Resolution is type-driven; an unresolvable Begin/End (stubbed
+// and that is the discipline checked: a Begin whose handle is
+// discarded, or whose End is missing on some return path, or that
+// paths disagree about, is a finding. Resolution is type-driven; an unresolvable Begin/End (stubbed
 // import) is skipped rather than guessed, since both are common
 // method names.
-
-// spanMode distinguishes how an open span will be closed.
-type spanMode int
-
-const (
-	// spanOpenMode: begun here, needs an explicit End on every path.
-	spanOpenMode spanMode = iota
-	// spanDeferredMode: a defer closes it; every path is covered.
-	spanDeferredMode
-)
-
-// spanState maps handle variable name → mode.
-type spanState map[string]spanMode
-
-func (s spanState) clone() spanState {
-	c := make(spanState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-func (s spanState) equal(o spanState) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k, v := range s {
-		if ov, ok := o[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (s spanState) replaceWith(o spanState) {
-	for k := range s {
-		delete(s, k)
-	}
-	for k, v := range o {
-		s[k] = v
-	}
-}
-
-func spanIntersectOf(a, b spanState) spanState {
-	out := make(spanState)
-	for k, v := range a {
-		if bv, ok := b[k]; ok && bv == v {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// openHandles lists handles in spanOpenMode, sorted.
-func (s spanState) openHandles() []string {
-	var out []string
-	for k, v := range s {
-		if v == spanOpenMode {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s spanState) describe() string {
-	if len(s) == 0 {
-		return "(none)"
-	}
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
-}
 
 // spanBeginCall reports whether call is trace.(*Tracer).Begin, by type
 // information only.
@@ -132,288 +52,73 @@ func spanEndCall(pkg *Package, call *ast.CallExpr) string {
 	return id.Name
 }
 
-type spanAnalysis struct {
-	u     *Universe
-	pkg   *Package
-	out   *[]Finding
-	fname string
+// spanFlow is spancheck's set of flow hooks over the held set, keyed
+// by handle variable.
+type spanFlow struct{ heldFlow }
+
+func newSpanFlow(u *Universe, pkg *Package, out *[]Finding, fname string) *spanFlow {
+	return &spanFlow{heldFlow{u: u, pkg: pkg, out: out, fname: fname, analyzer: "telemetrycheck", mismatch: spanMismatch}}
 }
 
-func (a *spanAnalysis) report(pos token.Pos, format string, args ...any) {
-	*a.out = append(*a.out, Finding{
-		Pos:      a.u.Fset.Position(pos),
-		Analyzer: "telemetrycheck",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-func (a *spanAnalysis) analyzeFuncDecl(fd *ast.FuncDecl) {
-	st := spanState{}
-	if a.stmts(fd.Body.List, st) == flowNormal {
-		a.checkExit(fd.Body.End(), st, "function end")
+func spanMismatch(at ast.Stmt) string {
+	switch at.(type) {
+	case *ast.IfStmt:
+		return "%s: branches disagree about open spans (then: %s; else: %s); end the span on both paths or defer"
+	case *ast.ForStmt, *ast.RangeStmt:
+		return "%s: loop body changes the open-span set (entry: %s; after one iteration: %s); each iteration must balance its Begin/End"
+	case *ast.SelectStmt:
+		return "%s: select cases disagree about open spans (%s vs %s); end the span in every case or defer"
 	}
+	return "%s: switch cases disagree about open spans (%s vs %s); end the span in every case or defer"
 }
 
-// checkExit reports still-open (non-deferred) spans at a path exit.
-func (a *spanAnalysis) checkExit(pos token.Pos, st spanState, where string) {
-	for _, h := range st.openHandles() {
+// enter: a literal's spans run on their own schedule and must balance
+// locally.
+func (a *spanFlow) enter(heldSet, bool) heldSet { return heldSet{} }
+
+// exit reports spans still open (and not deferred) at a path exit.
+func (a *spanFlow) exit(pos token.Pos, st heldSet, where string) {
+	for _, h := range st.active() {
 		a.report(pos,
 			"%s: span handle %q begun but not ended at %s; the lane's open-span stack leaks — use `defer %s.End()`",
 			a.fname, h, where, h)
 	}
 }
 
-func (a *spanAnalysis) stmts(list []ast.Stmt, st spanState) flowKind {
-	for _, s := range list {
-		if a.stmt(s, st) == flowExit {
-			return flowExit
-		}
+// call opens a span at `h := tr.Begin(...)` and closes it at `h.End()`.
+// End of an untracked handle (parameter, field) is the caller's
+// business; End on the no-op zero handle is legal by design.
+func (a *spanFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
+	if h := spanEndCall(a.pkg, call); h != "" {
+		delete(st, h)
+		return
 	}
-	return flowNormal
-}
-
-func (a *spanAnalysis) stmt(s ast.Stmt, st spanState) flowKind {
-	switch s := s.(type) {
+	if !spanBeginCall(a.pkg, call) {
+		return
+	}
+	switch at := at.(type) {
 	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if spanBeginCall(a.pkg, call) {
-				a.report(call.Pos(),
-					"%s: trace Begin handle discarded; the span never ends and the lane's open-span stack leaks",
-					a.fname)
-				return flowNormal
-			}
-			if h := spanEndCall(a.pkg, call); h != "" {
-				// End of an untracked handle (parameter, field) is the
-				// caller's business; End on the no-op zero handle is
-				// legal by design.
-				delete(st, h)
-				return flowNormal
-			}
-		}
-		a.scanExpr(st, s.X)
+		a.report(call.Pos(),
+			"%s: trace Begin handle discarded; the span never ends and the lane's open-span stack leaks",
+			a.fname)
 	case *ast.AssignStmt:
-		if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-			if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok && spanBeginCall(a.pkg, call) {
-				if id, ok := s.Lhs[0].(*ast.Ident); ok {
-					if id.Name == "_" {
-						a.report(call.Pos(),
-							"%s: trace Begin handle assigned to _; the span never ends",
-							a.fname)
-						return flowNormal
-					}
-					if mode, open := st[id.Name]; open && mode == spanOpenMode {
-						a.report(call.Pos(),
-							"%s: handle %q overwritten while its span is still open",
-							a.fname, id.Name)
-					}
-					st[id.Name] = spanOpenMode
-					return flowNormal
-				}
-			}
+		id, ok := at.Lhs[0].(*ast.Ident)
+		if len(at.Lhs) != 1 || !ok {
+			return
 		}
-		a.scanExpr(st, s.Rhs...)
-	case *ast.DeferStmt:
-		a.deferStmt(s, st)
-	case *ast.ReturnStmt:
-		a.scanExpr(st, s.Results...)
-		a.checkExit(s.Pos(), st, "return")
-		return flowExit
-	case *ast.GoStmt:
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			a.funcLit(lit)
+		if id.Name == "_" {
+			a.report(call.Pos(), "%s: trace Begin handle assigned to _; the span never ends", a.fname)
+			return
 		}
-		a.scanExpr(st, s.Call.Args...)
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, st)
-	case *ast.BlockStmt:
-		return a.stmts(s.List, st)
-	case *ast.IfStmt:
-		return a.ifStmt(s, st)
-	case *ast.ForStmt:
-		a.loopBody(s.Pos(), s.Body, st)
-	case *ast.RangeStmt:
-		a.scanExpr(st, s.X)
-		a.loopBody(s.Pos(), s.Body, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			if a.stmt(s.Init, st) == flowExit {
-				return flowExit
-			}
+		if mode, open := st[id.Name]; open && mode == heldActive {
+			a.report(call.Pos(), "%s: handle %q overwritten while its span is still open", a.fname, id.Name)
 		}
-		a.scanExpr(st, s.Tag)
-		return a.caseClauses(s.Body, s.Pos(), st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			if a.stmt(s.Init, st) == flowExit {
-				return flowExit
-			}
-		}
-		return a.caseClauses(s.Body, s.Pos(), st)
-	case *ast.SelectStmt:
-		for _, cs := range s.Body.List {
-			if cc, ok := cs.(*ast.CommClause); ok {
-				clauseSt := st.clone()
-				a.stmts(cc.Body, clauseSt)
-			}
-		}
-	case *ast.BranchStmt:
-		// break/continue/goto end the straight-line path; the
-		// loop-balance rule keeps this conservative.
-		return flowExit
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					a.scanExpr(st, vs.Values...)
-				}
-			}
-		}
-	}
-	return flowNormal
-}
-
-// deferStmt honours `defer sp.End()` and deferred literals containing
-// End calls; spans begun inside a deferred literal are checked with
-// their own fresh state.
-func (a *spanAnalysis) deferStmt(s *ast.DeferStmt, st spanState) {
-	if h := spanEndCall(a.pkg, s.Call); h != "" {
-		if _, open := st[h]; open {
-			st[h] = spanDeferredMode
-		}
-		return
-	}
-	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if h := spanEndCall(a.pkg, call); h != "" {
-					if _, open := st[h]; open {
-						st[h] = spanDeferredMode
-					}
-				}
-			}
-			return true
-		})
-		a.funcLit(lit)
-		return
-	}
-	a.scanExpr(st, s.Call.Args...)
-}
-
-func (a *spanAnalysis) ifStmt(s *ast.IfStmt, st spanState) flowKind {
-	if s.Init != nil {
-		if a.stmt(s.Init, st) == flowExit {
-			return flowExit
-		}
-	}
-	a.scanExpr(st, s.Cond)
-	thenSt := st.clone()
-	thenFlow := a.stmts(s.Body.List, thenSt)
-	elseSt := st.clone()
-	elseFlow := flowNormal
-	if s.Else != nil {
-		elseFlow = a.stmt(s.Else, elseSt)
-	}
-	switch {
-	case thenFlow == flowExit && elseFlow == flowExit:
-		return flowExit
-	case thenFlow == flowExit:
-		st.replaceWith(elseSt)
-	case elseFlow == flowExit:
-		st.replaceWith(thenSt)
-	default:
-		if !thenSt.equal(elseSt) {
-			a.report(s.Pos(),
-				"%s: branches disagree about open spans (then: %s; else: %s); end the span on both paths or defer",
-				a.fname, thenSt.describe(), elseSt.describe())
-			st.replaceWith(spanIntersectOf(thenSt, elseSt))
-		} else {
-			st.replaceWith(thenSt)
-		}
-	}
-	return flowNormal
-}
-
-// loopBody requires each iteration to be span-balanced, mirroring the
-// lockcheck loop rule.
-func (a *spanAnalysis) loopBody(pos token.Pos, body *ast.BlockStmt, st spanState) {
-	entry := st.clone()
-	bodySt := st.clone()
-	flow := a.stmts(body.List, bodySt)
-	if flow == flowNormal && !bodySt.equal(entry) {
-		a.report(pos,
-			"%s: loop body changes the open-span set (entry: %s; after one iteration: %s); each iteration must balance its Begin/End",
-			a.fname, entry.describe(), bodySt.describe())
+		st[id.Name] = heldActive
 	}
 }
 
-// caseClauses analyzes switch cases as parallel branches that must
-// rejoin with equal span state.
-func (a *spanAnalysis) caseClauses(body *ast.BlockStmt, pos token.Pos, st spanState) flowKind {
-	var normals []spanState
-	hasDefault := false
-	for _, cs := range body.List {
-		cc, ok := cs.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		caseSt := st.clone()
-		if a.stmts(cc.Body, caseSt) == flowNormal {
-			normals = append(normals, caseSt)
-		}
-	}
-	if !hasDefault {
-		normals = append(normals, st.clone())
-	}
-	if len(normals) == 0 {
-		return flowExit
-	}
-	merged := normals[0]
-	for _, n := range normals[1:] {
-		if !n.equal(merged) {
-			a.report(pos,
-				"%s: switch cases disagree about open spans (%s vs %s); end the span in every case or defer",
-				a.fname, merged.describe(), n.describe())
-			merged = spanIntersectOf(merged, n)
-		}
-	}
-	st.replaceWith(merged)
-	return flowNormal
-}
-
-// scanExpr walks expressions for function literals (checked with fresh
-// state — they run on their own schedule) and discarded Begin calls
-// buried in larger expressions.
-func (a *spanAnalysis) scanExpr(st spanState, exprs ...ast.Expr) {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				a.funcLit(n)
-				return false
-			case *ast.CallExpr:
-				if h := spanEndCall(a.pkg, n); h != "" {
-					delete(st, h)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// funcLit analyzes a literal body from an empty span state: its spans
-// must balance locally.
-func (a *spanAnalysis) funcLit(lit *ast.FuncLit) {
-	if lit.Body == nil {
-		return
-	}
-	st := spanState{}
-	if a.stmts(lit.Body.List, st) == flowNormal {
-		a.checkExit(lit.Body.End(), st, "end of function literal")
-	}
+// deferred honours `defer sp.End()` and End calls in a deferred
+// literal.
+func (a *spanFlow) deferred(d *ast.DeferStmt, st heldSet) {
+	st.deferReleases(d.Call, func(c *ast.CallExpr) string { return spanEndCall(a.pkg, c) })
 }

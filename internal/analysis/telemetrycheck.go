@@ -23,7 +23,7 @@ import (
 // The trace package's span-name interning (trace.NewName) has the
 // same cost profile and gets the same rule, and span handles get a
 // pairing discipline on top: every Begin must reach End on every path
-// (see spancheck.go for the walker).
+// (spancheck.go).
 type TelemetryCheck struct{}
 
 func (*TelemetryCheck) Name() string { return "telemetrycheck" }
@@ -61,13 +61,13 @@ func (tc *TelemetryCheck) Run(u *Universe, pkg *Package) []Finding {
 			// Span pairing applies to every function, constructors
 			// included — a leaked span corrupts the lane stack no
 			// matter where it was begun.
-			sa := &spanAnalysis{u: u, pkg: pkg, out: &out, fname: fd.Name.Name}
-			sa.analyzeFuncDecl(fd)
+			sa := newSpanFlow(u, pkg, &out, fd.Name.Name)
+			flow[heldSet]{pkg, sa}.body(fd.Body, heldSet{}, "function end")
 
 			// Package-level var blocks (GenDecl) are allowed
 			// wholesale, as are init and constructors.
 			name := fd.Name.Name
-			if name == "init" || strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") {
+			if isConstructorScope(name) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
