@@ -94,3 +94,13 @@ func balanced(hv *fakeHV) {
 	hv.hypLock.Lock()
 	defer hv.hypLock.Unlock()
 }
+
+// selectLeak takes a lock in one select clause only, so the clauses
+// meet holding different sets.
+func selectLeak(hv *fakeHV, ch chan int) {
+	select { // want:lockcheck
+	case <-ch:
+		hv.hostLock.Lock()
+	default:
+	}
+}

@@ -73,3 +73,13 @@ func explicitPair(tr *trace.Tracer, cond bool) {
 	}
 	sp.End()
 }
+
+// selectSpan begins a span in one select clause and never ends it.
+func selectSpan(tr *trace.Tracer, ch chan int) {
+	select { // want:telemetrycheck
+	case <-ch:
+		sp := tr.Begin(0, spanGood)
+		_ = sp
+	default:
+	}
+}
