@@ -220,40 +220,54 @@ func (f flow[S]) joinAll(at ast.Stmt, st S, paths []S) (S, bool) {
 }
 
 func (f flow[S]) exprs(st S, es ...ast.Expr) {
+	w := &exprWalk[S]{f: f, st: st}
 	for _, e := range es {
-		f.expr(e, nil, st)
+		if e != nil {
+			ast.Walk(w, e)
+		}
 	}
 }
 
-// expr applies an expression's calls in evaluation order: each call's
-// function and arguments before the call itself. A function literal
-// is walked as a body of its own from the hooks' entry state.
+// expr walks one expression; at is the statement it is the whole
+// value of, handed to the call hook if the expression is a call.
 func (f flow[S]) expr(e ast.Expr, at ast.Stmt, st S) {
-	if e == nil {
-		return
+	if e != nil {
+		ast.Walk(&exprWalk[S]{f, st, at, ast.Unparen(e)}, e)
 	}
-	top := ast.Unparen(e)
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case nil:
-			return false
-		case *ast.FuncLit:
-			f.body(n.Body, f.h.enter(st, false), "end of function literal")
-			return false
-		case *ast.CallExpr:
-			f.h.visit(n, st)
-			f.expr(n.Fun, nil, st)
-			f.exprs(st, n.Args...)
-			if n != top {
-				f.h.call(n, nil, st)
-			} else {
-				f.h.call(n, at, st)
-			}
-			return false
+}
+
+// exprWalk applies an expression's calls in evaluation order: each
+// call's function and arguments before the call itself. A function
+// literal is walked as a body of its own from the hooks' entry state.
+type exprWalk[S flowState[S]] struct {
+	f   flow[S]
+	st  S
+	at  ast.Stmt // for the call top, if any
+	top ast.Node
+}
+
+func (w *exprWalk[S]) Visit(n ast.Node) ast.Visitor {
+	switch n := n.(type) {
+	case nil:
+		return nil
+	case *ast.FuncLit:
+		w.f.body(n.Body, w.f.h.enter(w.st, false), "end of function literal")
+		return nil
+	case *ast.CallExpr:
+		w.f.h.visit(n, w.st)
+		ast.Walk(w, n.Fun)
+		for _, a := range n.Args {
+			ast.Walk(w, a)
 		}
-		f.h.visit(n, st)
-		return true
-	})
+		if n == w.top {
+			w.f.h.call(n, w.at, w.st)
+		} else {
+			w.f.h.call(n, nil, w.st)
+		}
+		return nil
+	}
+	w.f.h.visit(n, w.st)
+	return w
 }
 
 // neverReturns reports calls that do not return normally: the panic

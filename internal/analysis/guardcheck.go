@@ -58,30 +58,23 @@ func (gc *GuardCheck) Run(u *Universe, pkg *Package) []Finding {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isLockPrimitive(fd) {
+			if !ok || fd.Body == nil || isLockPrimitive(fd) || isConstructorScope(fd.Name.Name) {
 				continue
 			}
-			if isConstructorScope(fd.Name.Name) {
-				continue
+			// The pairing findings of the embedded lock hooks are
+			// lockcheck's to report; this walk only wants the held set.
+			var scratch []Finding
+			g := &guardFlow{
+				lockFlow: newLockFlow(u, pkg, &scratch, fd.Name.Name),
+				recvType: receiverTypeObj(pkg, fd),
+				seen:     make(map[token.Pos]bool),
+				skipKeys: make(map[*ast.Ident]bool),
+				findings: &out,
 			}
-			gc.checkFunc(u, pkg, fd, &out)
+			flow[heldSet]{pkg, g}.body(fd.Body, lockEntry(u, pkg, fd), "function end")
 		}
 	}
 	return out
-}
-
-func (gc *GuardCheck) checkFunc(u *Universe, pkg *Package, fd *ast.FuncDecl, out *[]Finding) {
-	// The pairing findings of the embedded lock hooks are lockcheck's
-	// to report; this walk only wants the held set.
-	var scratch []Finding
-	g := &guardFlow{
-		lockFlow: newLockFlow(u, pkg, &scratch, fd.Name.Name),
-		recvType: receiverTypeObj(pkg, fd),
-		seen:     make(map[token.Pos]bool),
-		skipKeys: make(map[*ast.Ident]bool),
-		findings: out,
-	}
-	flow[heldSet]{pkg, g}.body(fd.Body, lockEntry(u, pkg, fd), "function end")
 }
 
 // guardFlow is guardcheck's set of flow hooks: lockcheck's, plus the

@@ -104,3 +104,15 @@ func selectLeak(hv *fakeHV, ch chan int) {
 	default:
 	}
 }
+
+// selectBalanced takes the lock in every clause: a select always runs
+// exactly one of them, so the lock is held after it on every path.
+func selectBalanced(hv *fakeHV, a, b chan int) {
+	select {
+	case <-a:
+		hv.hostLock.Lock()
+	case <-b:
+		hv.hostLock.Lock()
+	}
+	hv.hostLock.Unlock()
+}
