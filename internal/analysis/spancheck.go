@@ -17,9 +17,9 @@ import (
 //
 // and that is the discipline checked: a Begin whose handle is
 // discarded, or whose End is missing on some return path, or that
-// paths disagree about, is a finding. Resolution is type-driven; an unresolvable Begin/End (stubbed
-// import) is skipped rather than guessed, since both are common
-// method names.
+// paths disagree about, is a finding. Resolution is type-driven; an
+// unresolvable Begin/End (stubbed import) is skipped rather than
+// guessed, since both are common method names.
 
 // spanBeginCall reports whether call is trace.(*Tracer).Begin, by type
 // information only.
