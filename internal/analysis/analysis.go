@@ -890,6 +890,9 @@ func SortFindings(fs []Finding) {
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
 		return fs[i].Message < fs[j].Message
 	})
 }

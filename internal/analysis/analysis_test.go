@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -339,5 +340,19 @@ func TestParseIgnore(t *testing.T) {
 
 	if _, ok := parseIgnore("// an ordinary comment", valid); ok {
 		t.Error("ordinary comment parsed as ignore directive")
+	}
+}
+
+// TestSortFindingsByColumn pins the tie-break on one line: two findings
+// with the same message sort by column, not by emission order.
+func TestSortFindingsByColumn(t *testing.T) {
+	at := func(col int) Finding {
+		return Finding{Pos: token.Position{Filename: "a.go", Line: 292, Column: col},
+			Analyzer: "guardcheck", Message: "same message"}
+	}
+	fs := []Finding{at(29), at(5)}
+	SortFindings(fs)
+	if fs[0].Pos.Column != 5 || fs[1].Pos.Column != 29 {
+		t.Errorf("sorted columns %d, %d; want 5, 29", fs[0].Pos.Column, fs[1].Pos.Column)
 	}
 }

@@ -156,6 +156,7 @@ func (f flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		}
 	case *ast.RangeStmt:
 		f.expr(s.X, nil, st)
+		f.exprs(st, s.Key, s.Value)
 		if iter, live := f.stmts(s.Body.List, st.clone()); live {
 			f.h.join(s, st, iter)
 		}
@@ -169,6 +170,7 @@ func (f flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if st, live = f.opt(s.Init, st); !live {
 			return st, false
 		}
+		st, _ = f.stmt(s.Assign, st) // the guard, x := y.(type) or y.(type)
 		return f.clauses(s, s.Body, st)
 	case *ast.SelectStmt:
 		return f.clauses(s, s.Body, st)

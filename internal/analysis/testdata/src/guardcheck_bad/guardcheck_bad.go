@@ -80,6 +80,22 @@ func ownerAnyLock(hv *fakeHV) int {
 	return hv.table
 }
 
+// typeSwitchGuard reads owner-guarded state in a type switch's guard
+// statement, which is evaluated before any clause.
+func typeSwitchGuard(hv *fakeHV) int {
+	switch v := any(hv.table).(type) { // want:guardcheck
+	case int:
+		return v
+	}
+	return 0
+}
+
+// rangeKeyStore stores to owner-guarded state as a range loop's key.
+func rangeKeyStore(hv *fakeHV, xs []int) {
+	for hv.table = range xs { // want:guardcheck
+	}
+}
+
 // peek is a method of the declaring type: lock=self is satisfied.
 func (hv *fakeHV) peek() int { return hv.cache }
 
