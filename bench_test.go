@@ -403,6 +403,23 @@ func benchAbstract(b *testing.B, incremental bool) {
 func BenchmarkAbstractIncremental(b *testing.B) { benchAbstract(b, true) }
 func BenchmarkAbstractFull(b *testing.B)        { benchAbstract(b, false) }
 
+// TestAbstractIncrementalFasterThanFull gates the cache: re-abstracting
+// through it must beat a full re-interpretation. A strict speed-up
+// floor would flake on loaded machines; losing to the full walk
+// outright means the cache is broken.
+func TestAbstractIncrementalFasterThanFull(t *testing.T) {
+	inc := testing.Benchmark(BenchmarkAbstractIncremental)
+	full := testing.Benchmark(BenchmarkAbstractFull)
+	if inc.N == 0 || full.N == 0 {
+		t.Fatal("abstraction benchmark failed")
+	}
+	t.Logf("incremental %dns/op, full %dns/op (%.1fx)", inc.NsPerOp(), full.NsPerOp(),
+		float64(full.NsPerOp())/float64(inc.NsPerOp()))
+	if inc.NsPerOp() >= full.NsPerOp() {
+		t.Errorf("incremental abstraction (%dns/op) not faster than full (%dns/op)", inc.NsPerOp(), full.NsPerOp())
+	}
+}
+
 // ---------------------------------------------------------------------
 // Ablation 1 (DESIGN.md): coalesced maplet lists vs a naive per-page
 // map for the abstract mapping representation, building the

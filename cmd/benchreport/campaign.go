@@ -11,14 +11,13 @@ import (
 	"ghostspec/internal/coverage"
 )
 
-// The campaign-bench mode measures the parallel campaign engine:
-// identical exec budgets run serially (1 worker) and sharded (8
-// workers) with copy-on-write snapshots on, plus a serial leg with
-// snapshots off (fresh boot + full parent replay per exec — the old
-// execution model, kept as the ablation baseline). The throughputs
-// land in a JSON artifact next to the ghost-bench numbers.
-//
-// Two gates make this a regression test rather than a report:
+// The campaign-bench mode gates the campaign engine's snapshots:
+// identical exec budgets run serially (1 worker) with copy-on-write
+// snapshots on and off (fresh boot + full parent replay per exec — the
+// old execution model, kept as the ablation baseline). The legs land
+// in a JSON artifact with the sync-directory legs (sync.go).
+// Throughput itself is perfbench's to measure (its guided and
+// sched-2cpu workloads); the legs here exist for their gates:
 //
 //   - the snapshot speedup (serial snap-on / serial snap-off) must
 //     clear snapshotSpeedupFloor, or Pass=false and the run exits
@@ -29,10 +28,6 @@ import (
 //     booted and replayed reference), so a restore that diverges from
 //     ground truth fails the benchmark outright instead of producing
 //     fast-but-wrong numbers.
-//
-// The parallel speedup is only meaningful on a machine with cores to
-// spare — num_cpu/gomaxprocs are recorded so a CI runner's number is
-// never misread against a laptop's.
 
 const (
 	// snapshotSpeedupFloor gates serial snap-on vs snap-off throughput.
@@ -49,19 +44,17 @@ const (
 	// frequent enough that every leg cross-checks several restores,
 	// cheap enough not to dominate the timing.
 	conformanceEvery = 32
+
+	// campaignExecs is every leg's exec budget, the sync legs' too.
+	campaignExecs = 256
+
+	// campaignVCPUs is the simulated CPU count of every system a leg
+	// boots.
+	campaignVCPUs = 4
 )
 
+// campaignLeg is one single-worker campaign run.
 type campaignLeg struct {
-	Workers int `json:"workers"`
-	// Gomaxprocs is recorded per leg, not just once per report: the
-	// parallel legs are only meaningful relative to the scheduler
-	// parallelism they actually ran under.
-	Gomaxprocs int `json:"gomaxprocs"`
-	// NumVCPU is the virtual-CPU count of every system the leg boots —
-	// the real configured value (campaign.Config.NrCPUs), which used to
-	// be invisible here and silently reported as a single-CPU machine.
-	NumVCPU     int     `json:"num_vcpu"`
-	SchedFuzz   bool    `json:"sched_fuzz"`
 	Snapshots   bool    `json:"snapshots"`
 	Execs       int64   `json:"execs"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
@@ -84,32 +77,29 @@ type campaignBenchReport struct {
 	NumCPU      int         `json:"num_cpu"`
 	GOMAXPROCS  int         `json:"gomaxprocs"`
 	StepsPerRun int         `json:"steps_per_run"`
+	NumVCPU     int         `json:"num_vcpu"`
 	Serial      campaignLeg `json:"serial"`
-	Parallel    campaignLeg `json:"parallel_8"`
 	SerialOff   campaignLeg `json:"serial_nosnap"`
-	// Parallel2CPU is the multi-vCPU leg: two workers, two-vCPU
-	// systems, schedule fuzzing on — every clean serial exec re-runs
-	// under a seeded deterministic schedule, so its throughput prices
-	// the scheduler (sched_preemptions, parked time) against the
-	// serial legs. Ungated: it exists to be read, not raced.
-	Parallel2CPU campaignLeg `json:"parallel_2cpu"`
-	// Speedup is parallel vs serial (both snap-on) — only computed when
-	// the runtime can actually schedule the legs in parallel. On a
-	// GOMAXPROCS=1 box the ratio would measure goroutine-switch
-	// contention, not scaling, so it is omitted and
-	// SpeedupSkippedReason says why. SnapshotSpeedup is serial snap-on
-	// vs serial snap-off and is gated by SpeedupFloor.
-	Speedup              float64 `json:"speedup,omitempty"`
-	SpeedupSkippedReason string  `json:"speedup_skipped_reason,omitempty"`
-	SnapshotSpeedup      float64 `json:"snapshot_speedup"`
-	SpeedupFloor         float64 `json:"snapshot_speedup_floor"`
+	// SnapshotSpeedup is serial snap-on vs serial snap-off, gated by
+	// SpeedupFloor.
+	SnapshotSpeedup float64 `json:"snapshot_speedup"`
+	SpeedupFloor    float64 `json:"snapshot_speedup_floor"`
 	// Sync is the multi-process leg: two workers sharing a sync
 	// directory, gated on coordination overhead.
 	Sync *syncBench `json:"sync,omitempty"`
 	Pass bool       `json:"pass"`
 }
 
-func runCampaignBench(path string, execs int64) error {
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func runCampaignBench(path string) error {
 	fmt.Println("==================== campaign benchmark ====================")
 	report := campaignBenchReport{
 		GOOS:         runtime.GOOS,
@@ -117,19 +107,19 @@ func runCampaignBench(path string, execs int64) error {
 		NumCPU:       runtime.NumCPU(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		StepsPerRun:  300,
+		NumVCPU:      campaignVCPUs,
 		SpeedupFloor: snapshotSpeedupFloor,
 	}
 
-	leg := func(workers int, noSnapshot bool, nrCPUs int, schedFuzz bool) (campaignLeg, error) {
+	leg := func(noSnapshot bool) (campaignLeg, error) {
 		rep, err := campaign.Run(campaign.Config{
-			Workers:          workers,
+			Workers:          1,
 			StepsPerRun:      report.StepsPerRun,
 			Seed:             1,
-			MaxExecs:         execs,
+			MaxExecs:         campaignExecs,
 			NoSnapshot:       noSnapshot,
 			ConformanceEvery: conformanceEvery,
-			NrCPUs:           nrCPUs,
-			SchedFuzz:        schedFuzz,
+			NrCPUs:           campaignVCPUs,
 		})
 		if err != nil {
 			// Includes snapshot conformance divergence — a correctness
@@ -141,10 +131,6 @@ func runCampaignBench(path string, execs int64) error {
 				rep.Findings[0].Failures[0])
 		}
 		l := campaignLeg{
-			Workers:             workers,
-			Gomaxprocs:          runtime.GOMAXPROCS(0),
-			NumVCPU:             nrCPUs,
-			SchedFuzz:           schedFuzz,
 			Snapshots:           !noSnapshot,
 			Execs:               rep.Execs,
 			ElapsedMS:           float64(rep.Elapsed) / float64(time.Millisecond),
@@ -161,11 +147,8 @@ func runCampaignBench(path string, execs int64) error {
 		if noSnapshot {
 			mode = "fresh boots"
 		}
-		if schedFuzz {
-			mode += ", sched-fuzz"
-		}
-		fmt.Printf("  %d worker(s), %d vCPUs, %s: %d execs in %v = %.1f execs/s (spec coverage %.1f%%)\n",
-			workers, nrCPUs, mode, rep.Execs, rep.Elapsed.Round(time.Millisecond), rep.ExecsPerSec,
+		fmt.Printf("  1 worker, %d vCPUs, %s: %d execs in %v = %.1f execs/s (spec coverage %.1f%%)\n",
+			campaignVCPUs, mode, rep.Execs, rep.Elapsed.Round(time.Millisecond), rep.ExecsPerSec,
 			coverage.Percent(rep.Coverage.SpecCovered, rep.Coverage.SpecTotal))
 		if !noSnapshot {
 			fmt.Printf("    restores=%d parent-forks=%d dirty-frames=%d fallbacks=%d\n",
@@ -175,26 +158,11 @@ func runCampaignBench(path string, execs int64) error {
 	}
 
 	var err error
-	if report.Serial, err = leg(1, false, 4, false); err != nil {
+	if report.Serial, err = leg(false); err != nil {
 		return err
 	}
-	if report.Parallel, err = leg(8, false, 4, false); err != nil {
+	if report.SerialOff, err = leg(true); err != nil {
 		return err
-	}
-	if report.SerialOff, err = leg(1, true, 4, false); err != nil {
-		return err
-	}
-	if report.Parallel2CPU, err = leg(2, false, 2, true); err != nil {
-		return err
-	}
-	if report.GOMAXPROCS <= 1 {
-		report.SpeedupSkippedReason = "gomaxprocs=1: parallel and serial legs share one OS " +
-			"thread, so parallel-vs-serial would measure scheduler contention, not scaling"
-		fmt.Printf("  speedup 8w/1w: skipped (%s)\n", report.SpeedupSkippedReason)
-	} else if report.Serial.ExecsPerSec > 0 {
-		report.Speedup = report.Parallel.ExecsPerSec / report.Serial.ExecsPerSec
-		fmt.Printf("  speedup 8w/1w: %.2fx on %d CPUs (GOMAXPROCS %d)\n",
-			report.Speedup, report.NumCPU, report.GOMAXPROCS)
 	}
 	if report.SerialOff.ExecsPerSec > 0 {
 		report.SnapshotSpeedup = report.Serial.ExecsPerSec / report.SerialOff.ExecsPerSec
@@ -203,19 +171,14 @@ func runCampaignBench(path string, execs int64) error {
 	fmt.Printf("  snapshot speedup (serial on/off): %.2fx (floor %.2fx)\n",
 		report.SnapshotSpeedup, snapshotSpeedupFloor)
 
-	syncRep, err := runSyncBench(execs)
+	syncRep, err := runSyncBench()
 	if err != nil {
 		return err
 	}
 	report.Sync = syncRep
 	report.Pass = report.Pass && syncRep.Pass
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeJSON(path, report); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)

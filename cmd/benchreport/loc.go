@@ -2,16 +2,13 @@ package main
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"ghostspec/internal/arch"
-	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/hyp"
 	"ghostspec/internal/pgtable"
-	"ghostspec/internal/proxy"
 )
 
 // locCategory maps repository paths to the paper's size-accounting
@@ -130,10 +127,3 @@ func (s *scratchAllocator) AllocTablePage() (arch.PFN, bool) {
 	return s.next, true
 }
 func (s *scratchAllocator) FreeTablePage(arch.PFN) {}
-
-// Interface checks for the helpers above.
-var (
-	_ = proxy.New
-	_ = ghost.Attach
-	_ = fmt.Sprintf
-)

@@ -4,10 +4,11 @@
 //
 //	benchreport                        # all experiments
 //	benchreport -exp E4                # one experiment
-//	benchreport -telemetry snap.json   # summarise a pkvm-sim -metrics dump
-//	benchreport -ghost-bench out.json  # benchmark smoke run -> JSON artifact
-//	benchreport -campaign out.json     # campaign engine serial vs 8 workers -> JSON artifact
+//	benchreport -campaign out.json     # snapshot and sync-directory gates -> JSON artifact
 //	benchreport -profile out.json      # traced campaign -> per-exec phase attribution + overhead gates
+//
+// Timing figures (throughput, the oracle on/off ratios) come from
+// perfbench, not from here; see docs/PERFORMANCE.md.
 package main
 
 import (
@@ -24,18 +25,12 @@ import (
 	"ghostspec/internal/proxy"
 	"ghostspec/internal/randtest"
 	"ghostspec/internal/suite"
-	"ghostspec/internal/telemetry"
-	"ghostspec/internal/telemetry/trace"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: E1..E8 or all")
 	randSteps := flag.Int("rand-steps", 20000, "random-campaign steps for E3")
-	reps := flag.Int("reps", 5, "timing repetitions for E7")
-	telemetryFile := flag.String("telemetry", "", "telemetry snapshot JSON (from pkvm-sim -metrics json) to summarise")
-	ghostBench := flag.String("ghost-bench", "", "run the ghost benchmark smoke set and write results to this JSON file")
-	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without) and write results to this JSON file; fails on speedup-floor or conformance regressions")
-	campaignExecs := flag.Int64("campaign-execs", 256, "executions per campaign benchmark leg")
+	campaignBench := flag.String("campaign", "", "run the campaign engine serially with snapshots on and off and the sync-directory legs, and write results to this JSON file; fails on the snapshot speed-up floor, the sync gates or a conformance divergence")
 	profile := flag.String("profile", "", "run a traced campaign, write the per-exec phase-attribution profile to this JSON file, and enforce the attribution/overhead gates")
 	profileTrace := flag.String("profile-trace", "", "with -profile: also write the campaign's span dump as Chrome trace-event JSON to this file")
 	flag.Parse()
@@ -48,36 +43,18 @@ func main() {
 		return
 	}
 
-	if *ghostBench != "" {
-		if err := runGhostBench(*ghostBench); err != nil {
-			fmt.Fprintln(os.Stderr, "ghost-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *campaignBench != "" {
-		if err := runCampaignBench(*campaignBench, *campaignExecs); err != nil {
+		if err := runCampaignBench(*campaignBench); err != nil {
 			fmt.Fprintln(os.Stderr, "campaign-bench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *telemetryFile != "" {
-		if err := summariseTelemetry(*telemetryFile); err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry:", err)
-			os.Exit(1)
-		}
-		if *exp == "all" {
-			return // snapshot summary only; pass -exp to also run experiments
-		}
-	}
-
 	exps := map[string]func() error{
 		"E1": e1Suite, "E2": e2Coverage, "E3": func() error { return e3Random(*randSteps) },
 		"E4": e4Synthetic, "E5": e5RealBugs, "E6": e6SpecSize,
-		"E7": func() error { return e7Performance(*reps) }, "E8": e8Invariants,
+		"E7": e7Performance, "E8": e8Invariants,
 	}
 	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"}
 
@@ -228,75 +205,25 @@ func e6SpecSize() error {
 }
 
 // E7 — performance (§6): boot overhead 3.2x (1.49s→4.76s), handwritten
-// tests 11.5x (1.07s→12.3s), ghost memory ≈18MB, on 4 cores.
-func e7Performance(reps int) error {
-	timeIt := func(f func()) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	bootOff := timeIt(func() {
-		if _, err := hyp.New(hyp.Config{}); err != nil {
-			panic(err)
-		}
-	})
-	bootOn := timeIt(func() {
-		hv, err := hyp.New(hyp.Config{})
-		if err != nil {
-			panic(err)
-		}
-		ghost.Attach(hv)
-	})
-	suiteOff := timeIt(func() { suite.Run(suite.Options{Ghost: false}) })
-	suiteOn := timeIt(func() { suite.Run(suite.Options{Ghost: true}) })
-
-	// Memory impact after a working session, and the oracle's time
-	// during it from its spans.
-	spans := trace.NewTracer(1, 1<<18)
-	hv, err := hyp.New(hyp.Config{Tracer: spans})
+// tests 11.5x (1.07s→12.3s), ghost memory ≈18MB, on 4 cores. The two
+// ratios are perfbench's; this prints the commands that give them and
+// measures the memory figures.
+func e7Performance() error {
+	hv, err := hyp.New(hyp.Config{})
 	if err != nil {
 		return err
 	}
 	rec := ghost.Attach(hv)
-	tr := randtest.New(proxy.New(hv), rec, 99, true)
-	trace.SetEnabled(true)
-	tr.Run(2000)
-	trace.SetEnabled(false)
+	randtest.New(proxy.New(hv), rec, 99, true).Run(2000)
 	st := rec.Stats()
-	var oracle time.Duration
-	for _, a := range spans.Aggregate() {
-		if oracleSpan(a.Name) {
-			oracle += a.Total
-		}
-	}
 
 	fmt.Println("paper:    boot 1.49s→4.76s (3.2x); handwritten tests 1.07s→12.3s (11.5x); ghost memory ~18MB")
-	fmt.Printf("measured: boot  %v → %v (%.1fx)\n", bootOff, bootOn, ratio(bootOn, bootOff))
-	fmt.Printf("measured: suite %v → %v (%.1fx)\n",
-		suiteOff.Round(time.Millisecond), suiteOn.Round(time.Millisecond), ratio(suiteOn, suiteOff))
+	fmt.Println("ratios:   boot  = suite.boot_overhead_x of `bash perfbench/run.sh --workload suite --trace 1`")
+	fmt.Println("ratios:   suite = oracle_overhead_x of `bash perfbench/run.sh --workload suite`")
 	fmt.Printf("measured: ghost state after 2000 random steps: %d live maplets; %d simulated frames touched (%.1f MB)\n",
 		st.MapletsLive, hv.Mem.FrameCount(), float64(hv.Mem.FrameCount())*4096/1e6)
-	fmt.Printf("measured: time inside oracle spans during those steps: %v across %d traps (%.0fµs/trap)\n",
-		oracle.Round(time.Millisecond), st.Traps,
-		float64(oracle.Microseconds())/float64(max(st.Traps, 1)))
-	if h, ok := telemetry.Snapshot().Histogram(`hyp_trap_latency_ns{reason="hvc"}`); ok && h.Count > 0 {
-		fmt.Printf("measured: live hypercall latency over %d calls: p50 <= %dns, p99 <= %dns\n",
-			h.Count, h.Quantile(0.5), h.Quantile(0.99))
-	}
-	if suiteOn <= suiteOff {
-		return fmt.Errorf("ghost suite not slower than bare suite — instrumentation inert?")
-	}
 	return nil
 }
-
-func ratio(a, b time.Duration) float64 { return float64(a) / float64(b) }
 
 // E8 — the §4.4 invariants: non-interference outside locks and
 // page-table footprint separation, demonstrated by violating each.
@@ -328,48 +255,5 @@ func e8Invariants() error {
 		return fmt.Errorf("non-interference violation undetected")
 	}
 	fmt.Println("measured: separation check active on every lock release (see internal/core/ghost separation tests)")
-	return nil
-}
-
-// summariseTelemetry ingests a telemetry snapshot JSON (as written by
-// pkvm-sim -metrics json) and reports the headline latency and traffic
-// numbers. Quantiles are upper bounds of the log2 histogram buckets.
-func summariseTelemetry(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snap, err := telemetry.ReadSnap(f)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("==================== telemetry: %s ====================\n", path)
-	for _, h := range []struct{ label, name string }{
-		{"hypercall latency", `hyp_trap_latency_ns{reason="hvc"}`},
-		{"mem-abort latency", `hyp_trap_latency_ns{reason="mem-abort"}`},
-		{"oracle check latency", "ghost_check_latency_ns"},
-	} {
-		hs, ok := snap.Histogram(h.name)
-		if !ok || hs.Count == 0 {
-			continue
-		}
-		fmt.Printf("%-22s %8d samples, p50 <= %dns, p99 <= %dns, mean %.0fns\n",
-			h.label+":", hs.Count, hs.Quantile(0.5), hs.Quantile(0.99), hs.Mean())
-	}
-	if traps, ok := snap.Counter("hyp_traps_total"); ok {
-		fmt.Printf("%-22s %8d\n", "traps:", traps)
-	}
-	if checks, ok := snap.Counter("ghost_checks_total"); ok {
-		passed, _ := snap.Counter("ghost_checks_passed_total")
-		fmt.Printf("%-22s %8d (%d passed)\n", "oracle checks:", checks, passed)
-	}
-	fmt.Println("per-hypercall counts:")
-	for _, c := range snap.Counters {
-		if strings.HasPrefix(c.Name, "hyp_hypercall_calls_total{") && c.Value > 0 {
-			fmt.Printf("  %-52s %8d\n", c.Name, c.Value)
-		}
-	}
 	return nil
 }

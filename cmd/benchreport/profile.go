@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
-	"testing"
 	"time"
 
 	"ghostspec/internal/campaign"
@@ -38,10 +37,9 @@ import (
 //   - overhead: with a tracer attached but tracing disabled, the
 //     share/unshare hypercall pair must stay within overheadLimitPct
 //     (plus a fixed per-call epsilon for timer noise) of the
-//     tracer-free baseline, and the disabled Begin/End pair must not
-//     allocate — the "compile-out cheap" requirement, enforced the
-//     same way BenchmarkHypercallTelemetryOff enforces it for
-//     counters.
+//     tracer-free baseline — the "compile-out cheap" requirement.
+//     That the disabled Begin/End pair does not allocate is
+//     TestTraceDisabledPathAllocationFree's to check.
 
 const (
 	attributionFloorPct = 80.0
@@ -68,13 +66,15 @@ type profilePhase struct {
 }
 
 // profileOverhead is the tracing-disabled hot-path cost comparison.
+// The ns/call figures are medians over the repetitions; OverheadPct is
+// the median of each repetition's paired gated/baseline ratio, less
+// one, and is what the gate reads.
 type profileOverhead struct {
 	BaselineNsPerCall float64 `json:"baseline_ns_per_call"`
 	GatedNsPerCall    float64 `json:"gated_ns_per_call"`
 	OverheadPct       float64 `json:"overhead_pct"`
 	LimitPct          float64 `json:"limit_pct"`
 	EpsilonNs         float64 `json:"epsilon_ns"`
-	AllocsPerPair     float64 `json:"allocs_per_disabled_begin_end"`
 }
 
 type profileReport struct {
@@ -145,6 +145,114 @@ func trapCoverage(spans []trace.Span) float64 {
 	return 100 * float64(covered) / float64(trapTime)
 }
 
+// ms converts a duration to float milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// fold fills the report's phase breakdown, attribution, trap coverage
+// and dropped-span count from a traced campaign's tracer.
+func (rep *profileReport) fold(tr *trace.Tracer) {
+	totals := map[string]trace.NameAgg{}
+	var trapNames, oracleNames []string
+	for _, a := range tr.Aggregate() {
+		totals[a.Name] = a
+		if strings.HasPrefix(a.Name, "hyp.trap:") {
+			trapNames = append(trapNames, a.Name)
+		}
+		if oracleSpan(a.Name) {
+			oracleNames = append(oracleNames, a.Name)
+		}
+	}
+	sum := func(label string, names ...string) profilePhase {
+		out := profilePhase{Phase: label}
+		for _, n := range names {
+			out.Count += totals[n].Count
+			out.TotalMS += ms(totals[n].Total)
+		}
+		return out
+	}
+	// Worker-system boots are root spans (they happen once per worker,
+	// outside any exec); they belong in the attribution base as well as
+	// the boot phase, or the ratio overflows 100% — the numerator would
+	// include time the denominator never saw.
+	spans := tr.Spans()
+	for _, s := range spans {
+		if s.Parent < 0 && s.NameString() == "exec.boot" {
+			rep.RootBootMS += ms(s.Dur)
+		}
+	}
+	rep.ExecWallMS = sum("exec", "exec").TotalMS
+	// The attribution base: per-exec wall time plus the once-per-worker
+	// root boots. Every phase in the numerator is a slice of this base,
+	// so the ratio is bounded by 100% by construction.
+	base := rep.ExecWallMS + rep.RootBootMS
+	rep.Phases = []profilePhase{
+		// boot happens once per worker now (the long-lived snapshot
+		// system), not once per exec; restore is its per-exec successor.
+		sum("boot", "exec.boot"),
+		sum("restore", "exec.restore"),
+		sum("replay", "exec.replay"),
+		sum("run", "exec.run"),
+		sum("corpus", "exec.corpus"),
+		sum("shrink", "exec.shrink"),
+	}
+	rep.Nested = []profilePhase{
+		sum("hypercall", trapNames...),
+		sum("pgtable", "pgtable.mutate"),
+		sum("tlb", "tlb.fill", "tlb.invalidate"),
+		sum("oracle", oracleNames...),
+		sum("snapshot", "snapshot.capture", "snapshot.cow-fault"),
+	}
+	var attributed float64
+	for i := range rep.Phases {
+		attributed += rep.Phases[i].TotalMS
+	}
+	if base > 0 {
+		for _, ps := range [][]profilePhase{rep.Phases, rep.Nested} {
+			for i := range ps {
+				ps[i].PctOfExec = 100 * ps[i].TotalMS / base
+			}
+		}
+		rep.AttributedPct = 100 * attributed / base
+	}
+	rep.AttributionFloorPct = attributionFloorPct
+	rep.TrapCoveredPct = trapCoverage(spans)
+	rep.TrapCoverageFloorPct = trapCoverageFloorPct
+	rep.DroppedSpans = tr.Dropped()
+}
+
+// violations lists every gate the report fails.
+func (rep *profileReport) violations() []string {
+	var out []string
+	if rep.AttributedPct < attributionFloorPct {
+		out = append(out, fmt.Sprintf(
+			"attribution %.1f%% below floor %.0f%%", rep.AttributedPct, attributionFloorPct))
+	}
+	if rep.AttributedPct > 100 {
+		// Physically impossible: disjoint slices of the base exceeding
+		// it means a phase is double-counted or counted against a base
+		// that never saw it (the root-boot bug this check pins down).
+		out = append(out, fmt.Sprintf(
+			"attribution %.2f%% exceeds 100%% (phase accounting double-counts)", rep.AttributedPct))
+	}
+	if rep.TrapCoveredPct < trapCoverageFloorPct {
+		out = append(out, fmt.Sprintf(
+			"trap coverage %.1f%% below floor %.0f%%", rep.TrapCoveredPct, trapCoverageFloorPct))
+	}
+	if rep.DroppedSpans > 0 {
+		out = append(out, fmt.Sprintf(
+			"%d spans dropped at the rings (attribution is partial; grow profileRingSize)", rep.DroppedSpans))
+	}
+	// gated <= baseline*(1+limit) + epsilon, as a percentage of the
+	// baseline.
+	o := rep.Overhead
+	if o.BaselineNsPerCall > 0 && o.OverheadPct > overheadLimitPct+100*overheadEpsilonNs/o.BaselineNsPerCall {
+		out = append(out, fmt.Sprintf(
+			"gated hypercall median overhead %+.1f%% exceeds %.0f%% + %.0fns of the %.0fns/call baseline",
+			o.OverheadPct, overheadLimitPct, overheadEpsilonNs, o.BaselineNsPerCall))
+	}
+	return out
+}
+
 func runProfile(path, traceOut string) error {
 	fmt.Println("==================== execution profile ====================")
 	rep := profileReport{
@@ -175,94 +283,10 @@ func runProfile(path, traceOut string) error {
 		// mean a real regression besides; surface them loudly.
 		return fmt.Errorf("profile campaign produced %d findings on the fixed build", len(crep.Findings))
 	}
-	rep.DroppedSpans = tr.Dropped()
+	rep.fold(tr)
 
-	spans := tr.Spans()
-	totals := map[string]*profilePhase{}
-	// Worker-system boots are root spans (they happen once per worker,
-	// outside any exec); they belong in the attribution base as well as
-	// the boot phase, or the ratio overflows 100% — the numerator would
-	// include time the denominator never saw.
-	var rootBootMS float64
-	for _, s := range spans {
-		name := s.NameString()
-		if name == "exec.boot" && s.Parent < 0 {
-			rootBootMS += float64(s.Dur) / float64(time.Millisecond)
-		}
-		p, ok := totals[name]
-		if !ok {
-			p = &profilePhase{Phase: name}
-			totals[name] = p
-		}
-		p.Count++
-		p.TotalMS += float64(s.Dur) / float64(time.Millisecond)
-	}
-	sum := func(label string, names ...string) profilePhase {
-		out := profilePhase{Phase: label}
-		for _, n := range names {
-			if p, ok := totals[n]; ok {
-				out.Count += p.Count
-				out.TotalMS += p.TotalMS
-			}
-		}
-		return out
-	}
-	var trapNames, oracleNames []string
-	for name := range totals {
-		if strings.HasPrefix(name, "hyp.trap:") {
-			trapNames = append(trapNames, name)
-		}
-		if oracleSpan(name) {
-			oracleNames = append(oracleNames, name)
-		}
-	}
-
-	exec := sum("exec", "exec")
-	rep.ExecWallMS = exec.TotalMS
-	rep.RootBootMS = rootBootMS
-	// The attribution base: per-exec wall time plus the once-per-worker
-	// root boots. Every phase in the numerator is a slice of this base,
-	// so the ratio is bounded by 100% by construction.
-	base := exec.TotalMS + rootBootMS
-	rep.Phases = []profilePhase{
-		// boot happens once per worker now (the long-lived snapshot
-		// system), not once per exec; restore is its per-exec successor.
-		sum("boot", "exec.boot"),
-		sum("restore", "exec.restore"),
-		sum("replay", "exec.replay"),
-		sum("run", "exec.run"),
-		sum("corpus", "exec.corpus"),
-		sum("shrink", "exec.shrink"),
-	}
-	rep.Nested = []profilePhase{
-		sum("hypercall", trapNames...),
-		sum("pgtable", "pgtable.mutate"),
-		sum("tlb", "tlb.fill", "tlb.invalidate"),
-		sum("oracle", oracleNames...),
-		sum("snapshot", "snapshot.capture", "snapshot.cow-fault"),
-	}
-
-	var attributed float64
-	for i := range rep.Phases {
-		attributed += rep.Phases[i].TotalMS
-		if base > 0 {
-			rep.Phases[i].PctOfExec = 100 * rep.Phases[i].TotalMS / base
-		}
-	}
-	for i := range rep.Nested {
-		if base > 0 {
-			rep.Nested[i].PctOfExec = 100 * rep.Nested[i].TotalMS / base
-		}
-	}
-	if base > 0 {
-		rep.AttributedPct = 100 * attributed / base
-	}
-	rep.AttributionFloorPct = attributionFloorPct
-	rep.TrapCoveredPct = trapCoverage(spans)
-	rep.TrapCoverageFloorPct = trapCoverageFloorPct
-
-	fmt.Printf("campaign: %d execs in %v (%.1f execs/s), %d spans retained, %d dropped\n",
-		crep.Execs, crep.Elapsed.Round(time.Millisecond), crep.ExecsPerSec, len(spans), rep.DroppedSpans)
+	fmt.Printf("campaign: %d execs, %d spans retained, %d dropped\n",
+		crep.Execs, len(tr.Spans()), rep.DroppedSpans)
 	fmt.Printf("exec wall time %.1fms (+%.1fms root boots); phase breakdown:\n",
 		rep.ExecWallMS, rep.RootBootMS)
 	for _, p := range rep.Phases {
@@ -280,54 +304,15 @@ func runProfile(path, traceOut string) error {
 	if err := measureOverhead(&rep.Overhead); err != nil {
 		return err
 	}
-	fmt.Printf("gated hypercall: %.0fns/call vs %.0fns/call baseline (%+.2f%%, limit %.0f%% + %.0fns; %g allocs/pair)\n",
+	fmt.Printf("gated hypercall: %.0fns/call vs %.0fns/call baseline (median paired overhead %+.2f%%, limit %.0f%% + %.0fns)\n",
 		rep.Overhead.GatedNsPerCall, rep.Overhead.BaselineNsPerCall, rep.Overhead.OverheadPct,
-		overheadLimitPct, overheadEpsilonNs, rep.Overhead.AllocsPerPair)
+		overheadLimitPct, overheadEpsilonNs)
 
 	// --- verdict + artifacts ------------------------------------------
-	var violations []string
-	if rep.AttributedPct < attributionFloorPct {
-		violations = append(violations, fmt.Sprintf(
-			"attribution %.1f%% below floor %.0f%%", rep.AttributedPct, attributionFloorPct))
-	}
-	if rep.AttributedPct > 100 {
-		// Physically impossible: disjoint slices of the base exceeding
-		// it means a phase is double-counted or counted against a base
-		// that never saw it (the root-boot bug this check pins down).
-		violations = append(violations, fmt.Sprintf(
-			"attribution %.2f%% exceeds 100%% (phase accounting double-counts)", rep.AttributedPct))
-	}
-	if rep.TrapCoveredPct < trapCoverageFloorPct {
-		violations = append(violations, fmt.Sprintf(
-			"trap coverage %.1f%% below floor %.0f%%", rep.TrapCoveredPct, trapCoverageFloorPct))
-	}
-	if rep.DroppedSpans > 0 {
-		violations = append(violations, fmt.Sprintf(
-			"%d spans dropped at the rings (attribution is partial; grow profileRingSize)", rep.DroppedSpans))
-	}
-	limit := rep.Overhead.BaselineNsPerCall*(1+overheadLimitPct/100) + overheadEpsilonNs
-	if rep.Overhead.GatedNsPerCall > limit {
-		violations = append(violations, fmt.Sprintf(
-			"gated hypercall %.0fns/call exceeds %.0fns/call (baseline %.0f +%.0f%% +%.0fns)",
-			rep.Overhead.GatedNsPerCall, limit, rep.Overhead.BaselineNsPerCall, overheadLimitPct, overheadEpsilonNs))
-	}
-	if rep.Overhead.AllocsPerPair != 0 {
-		violations = append(violations, fmt.Sprintf(
-			"disabled Begin/End allocates (%g allocs/pair, want 0)", rep.Overhead.AllocsPerPair))
-	}
+	violations := rep.violations()
 	rep.Pass = len(violations) == 0
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeJSON(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("profile written to %s\n", path)
@@ -356,11 +341,11 @@ func runProfile(path, traceOut string) error {
 
 // measureOverhead times the share/unshare hypercall pair on a system
 // without a tracer (baseline) and on one with a tracer attached but
-// tracing disabled (gated). The legs are interleaved with alternating
-// order — so clock drift over the measurement window hits both legs'
-// minima equally — and the minimum over the repetitions kept, the
-// usual defence against one leg eating a scheduling hiccup the other
-// didn't.
+// tracing disabled (gated). Each repetition times one leg of each,
+// alternating which runs first, and gives one gated/baseline ratio;
+// the median ratio is kept. A scheduling hiccup or a shift of a
+// shared machine's speed moves one repetition's pair, not the median;
+// a statistic taken per leg would compare runs from different moments.
 func measureOverhead(o *profileOverhead) error {
 	const (
 		reps  = 11
@@ -399,7 +384,7 @@ func measureOverhead(o *profileOverhead) error {
 
 	gatedTracer := trace.NewTracer(1, 1024)
 	trace.SetEnabled(false)
-	baseMin, gatedMin := time.Duration(1<<62), time.Duration(1<<62)
+	var bases, gateds, ratios []float64
 	for r := 0; r < reps; r++ {
 		var base, gated time.Duration
 		var err error
@@ -417,27 +402,21 @@ func measureOverhead(o *profileOverhead) error {
 		if err != nil {
 			return err
 		}
-		baseMin = min(baseMin, base)
-		gatedMin = min(gatedMin, gated)
+		bases = append(bases, float64(base))
+		gateds = append(gateds, float64(gated))
+		ratios = append(ratios, float64(gated)/float64(base))
 	}
 	const callsPerIter = 2 // share + unshare
-	o.BaselineNsPerCall = float64(baseMin.Nanoseconds()) / (iters * callsPerIter)
-	o.GatedNsPerCall = float64(gatedMin.Nanoseconds()) / (iters * callsPerIter)
-	if o.BaselineNsPerCall > 0 {
-		o.OverheadPct = 100 * (o.GatedNsPerCall - o.BaselineNsPerCall) / o.BaselineNsPerCall
-	}
+	o.BaselineNsPerCall = median(bases) / (iters * callsPerIter)
+	o.GatedNsPerCall = median(gateds) / (iters * callsPerIter)
+	o.OverheadPct = 100 * (median(ratios) - 1)
 	o.LimitPct = overheadLimitPct
 	o.EpsilonNs = overheadEpsilonNs
-
-	// The disabled Begin/End pair must be allocation-free: one atomic
-	// load and a branch, nothing for the garbage collector.
-	o.AllocsPerPair = testing.AllocsPerRun(1000, func() {
-		sp := gatedTracer.Begin(0, spanAllocProbe)
-		sp.End()
-	})
 	return nil
 }
 
-// spanAllocProbe names the span the allocation probe opens and closes;
-// registered here because NewName is init/constructor-scope only.
-var spanAllocProbe = trace.NewName("profile.alloc-probe")
+// median returns the middle value of xs (odd length), sorting it.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}

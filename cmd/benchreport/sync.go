@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -65,9 +64,8 @@ const (
 // pairLeg is two single-threaded engines run concurrently, either
 // sharing a sync directory or, as the baseline, sharing nothing.
 type pairLeg struct {
-	Gomaxprocs int     `json:"gomaxprocs"`
-	Execs      int64   `json:"execs"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	Execs     int64   `json:"execs"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// ExecsPerSec is total execs over the pair's wall time, set-up
 	// and tear-down included (reported, not gated); SummedExecsPerSec
 	// is the sum of each engine's own rate, the gated estimator.
@@ -116,7 +114,7 @@ func runPair(totalExecs int64, bugs []faults.Bug, synced bool) (pairLeg, error) 
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range reps {
-		cfg := campaign.Config{Workers: 1, StepsPerRun: 300, Seed: randtest.WorkerSeed(int64(i+1), 0), NrCPUs: 4,
+		cfg := campaign.Config{Workers: 1, StepsPerRun: 300, Seed: randtest.WorkerSeed(int64(i+1), 0), NrCPUs: campaignVCPUs,
 			Bugs: bugs, MaxExecs: totalExecs / 2}
 		var sw *syncdir.Worker
 		if synced {
@@ -146,7 +144,7 @@ func runPair(totalExecs int64, bugs []faults.Bug, synced bool) (pairLeg, error) 
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	leg := pairLeg{Gomaxprocs: runtime.GOMAXPROCS(0), ElapsedMS: float64(elapsed) / float64(time.Millisecond)}
+	leg := pairLeg{ElapsedMS: float64(elapsed) / float64(time.Millisecond)}
 	for i, rep := range reps {
 		if errs[i] != nil {
 			return pairLeg{}, fmt.Errorf("engine %d: %w", i, errs[i])
@@ -182,7 +180,7 @@ func runPair(totalExecs int64, bugs []faults.Bug, synced bool) (pairLeg, error) 
 	return leg, nil
 }
 
-func runSyncBench(execs int64) (*syncBench, error) {
+func runSyncBench() (*syncBench, error) {
 	fmt.Println("  -- sync directory --")
 	rep := &syncBench{
 		PollMS:          int64(syncPoll / time.Millisecond),
@@ -193,7 +191,7 @@ func runSyncBench(execs int64) (*syncBench, error) {
 	rounds := make([]round, syncRounds)
 	for r := range rounds {
 		for _, synced := range []bool{r%2 == 0, r%2 != 0} { // sync first in even rounds
-			leg, err := runPair(execs, nil, synced)
+			leg, err := runPair(campaignExecs, nil, synced)
 			if err != nil {
 				return nil, err
 			}
@@ -224,7 +222,7 @@ func runSyncBench(execs int64) (*syncBench, error) {
 	// minimize to the same canonical trace within a small budget is
 	// luck; when they do, the collapse shows in the duplicate count.
 	var err error
-	if rep.Dedup, err = runPair(execs, []faults.Bug{syncDedupBug}, true); err != nil {
+	if rep.Dedup, err = runPair(campaignExecs, []faults.Bug{syncDedupBug}, true); err != nil {
 		return nil, err
 	}
 	fmt.Printf("  dedup demo (%s): %d reported, %d duplicate, %d unique\n",

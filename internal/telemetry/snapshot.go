@@ -145,15 +145,6 @@ func (s Snap) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnap decodes a snapshot previously written with WriteJSON.
-func ReadSnap(r io.Reader) (Snap, error) {
-	var s Snap
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Snap{}, err
-	}
-	return s, nil
-}
-
 // splitName separates a registered name into its base metric name and
 // inline label block: `a_total{x="y"}` -> (`a_total`, `x="y"`).
 func splitName(name string) (base, labels string) {

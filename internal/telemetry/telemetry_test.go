@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -83,8 +84,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnap(&buf)
-	if err != nil {
+	var back Snap
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := back.Counter(`calls_total{call="share"}`); !ok || v != 3 {
