@@ -14,11 +14,11 @@ import (
 	"ghostspec/internal/telemetry/trace"
 )
 
-// The profile mode answers the attribution question behind ROADMAP
-// Open item 1: where does one execution's wall time actually go? It
-// runs a single-worker traced campaign with rings sized to retain
-// every span, folds the span dump into a per-phase breakdown, and
-// enforces two regression gates with a non-zero exit:
+// The profile mode answers the attribution question: where does one
+// execution's wall time actually go? It runs a single-worker traced
+// campaign with rings sized to retain every span, folds the span dump
+// into a per-phase breakdown, and enforces two regression gates with a
+// non-zero exit:
 //
 //   - attribution: the top-level phase spans (boot / restore / replay
 //     / run / corpus / shrink) must account for at least

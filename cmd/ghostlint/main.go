@@ -5,14 +5,11 @@
 // Usage:
 //
 //	go run ./cmd/ghostlint [-strict] [-v] [-json] [-budget d] [packages...]
-//	go run ./cmd/ghostlint -write-preempt
-//	go run ./cmd/ghostlint -check-preempt
 //
 // Package patterns are directories, optionally ending in /... for
 // recursion; the default is ./... from the module root. Exit status
 // is 0 when no findings survive suppression, 1 when findings are
-// reported (or the preemption-point table has drifted), 2 on load
-// errors, and 3 when -budget is exceeded.
+// reported, 2 on load errors, and 3 when -budget is exceeded.
 //
 // The -strict flag disables //ghostlint:ignore suppressions and
 // additionally reports stale directives that cover no finding; CI
@@ -20,17 +17,12 @@
 // detected. -json emits the findings as a machine-readable object on
 // stdout (the CI lint job turns it into per-file annotations).
 // -budget fails the run when analysis wall time exceeds the given
-// duration, keeping the lint step's latency honest.
-//
-// -write-preempt regenerates the checked-in preemption-point table
-// (internal/analysis/preempt/points_gen.go) from the whole module; -check-preempt regenerates in memory and fails if the
-// checked-in table differs. Both first run the preemption-point
-// checker (preemptcheck) over the module and stop on a finding. See docs/ANALYSIS.md for the analyzer
-// catalogue, the annotation grammars and the table schema.
+// duration, keeping the lint step's latency honest. See
+// docs/ANALYSIS.md for the analyzer catalogue and the annotation
+// grammars.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,8 +39,6 @@ func main() {
 	verbose := flag.Bool("v", false, "report suppressed findings, loader warnings and type errors")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout")
 	budget := flag.Duration("budget", 0, "fail (exit 3) if analysis exceeds this wall time")
-	writePreempt := flag.Bool("write-preempt", false, "regenerate internal/analysis/preempt from the module and exit")
-	checkPreempt := flag.Bool("check-preempt", false, "verify the checked-in preemption-point table matches the source")
 	flag.Parse()
 
 	start := time.Now()
@@ -57,10 +47,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ghostlint:", err)
 		os.Exit(2)
-	}
-
-	if *writePreempt || *checkPreempt {
-		os.Exit(preemptTable(ld, *writePreempt))
 	}
 
 	patterns := flag.Args()
@@ -200,51 +186,6 @@ func emitJSON(modRoot string, kept, suppressed []analysis.Finding, pkgs int, ela
 		fmt.Fprintln(os.Stderr, "ghostlint:", err)
 		os.Exit(2)
 	}
-}
-
-// preemptTable regenerates the preemption-point table from the whole
-// module and either writes it (write=true) or byte-compares it with
-// the checked-in copy. Returns the process exit code.
-func preemptTable(ld *analysis.Loader, write bool) int {
-	dirs, err := analysis.ModuleDirs(ld.ModRoot)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghostlint:", err)
-		return 2
-	}
-	for _, dir := range dirs {
-		if _, err := ld.LoadDir(dir); err != nil {
-			fmt.Fprintf(os.Stderr, "ghostlint: load %s: %v\n", dir, err)
-			return 2
-		}
-	}
-	u := analysis.NewUniverse(ld)
-	pts, findings := analysis.ExtractPreemptPoints(u, ld.ModRoot)
-	if len(findings) > 0 {
-		analysis.SortFindings(findings)
-		for _, f := range findings {
-			fmt.Println(relativize(ld.ModRoot, f))
-		}
-		fmt.Fprintf(os.Stderr, "ghostlint: %d preemption-point finding(s); the table is not written\n", len(findings))
-		return 1
-	}
-	path := filepath.Join(ld.ModRoot, "internal", "analysis", "preempt", "points_gen.go")
-	want := analysis.RenderPreemptGo(pts)
-	if write {
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostlint:", err)
-			return 2
-		}
-		fmt.Printf("ghostlint: wrote %d preemption points to %s\n", len(pts), path)
-		return 0
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-		fmt.Fprintf(os.Stderr,
-			"ghostlint: %s is stale or unreadable: the source has %d preemption points — run `go run ./cmd/ghostlint -write-preempt` and commit\n",
-			path, len(pts))
-		return 1
-	}
-	fmt.Printf("ghostlint: preemption-point table in sync (%d points)\n", len(pts))
-	return 0
 }
 
 // expand turns one package pattern into package directories.

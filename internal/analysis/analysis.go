@@ -35,7 +35,7 @@
 //     passes its preemption point, a variable declared with
 //     preempt.At whose kind, component, function and ordinal are those
 //     of the one call it is passed at — the deterministic scheduler's
-//     point table is these calls.
+//     points are these declarations.
 //
 // Annotation grammar (on a function's doc comment):
 //

@@ -15,6 +15,13 @@ type recorder struct{ seen []*preempt.Point }
 
 func (r *recorder) Crossing(p *preempt.Point) { r.seen = append(r.seen, p) }
 
+// The points the spinlock and TLB crossings below pass.
+var (
+	testAcquire = preempt.At(preempt.KindLockAcquire, "vms", "allocTest", 0)
+	testRelease = preempt.At(preempt.KindLockRelease, "vms", "allocTest", 0)
+	testTLBI    = preempt.At(preempt.KindTLBI, "", "allocTest", 0)
+)
+
 func boot(t testing.TB) *hyp.Hypervisor {
 	t.Helper()
 	hv, err := hyp.New(hyp.Config{NrCPUs: 2})
@@ -30,8 +37,8 @@ func boot(t testing.TB) *hyp.Hypervisor {
 func queueMiss(hv *hyp.Hypervisor) { hv.QueueGuestOp(0, 0, hyp.GuestOp{}) }
 
 // TestDomainCrossings checks that a system's crossings reach the
-// scheduler bound to its own domain, as table points, and nowhere
-// else.
+// scheduler bound to its own domain, as registered points, and
+// nowhere else.
 func TestDomainCrossings(t *testing.T) {
 	hv, other := boot(t), boot(t)
 	var r recorder
@@ -43,8 +50,8 @@ func TestDomainCrossings(t *testing.T) {
 
 	var got []string
 	for _, p := range r.seen {
-		if q, ok := preempt.ByID(p.ID); !ok || q != *p {
-			t.Fatalf("crossing %+v is not a table point", p)
+		if q, ok := preempt.ByID(p.ID); !ok || q != p {
+			t.Fatalf("crossing %v is not a registered point", p)
 		}
 		got = append(got, string(p.Kind)+"@"+p.Func)
 	}
@@ -56,7 +63,7 @@ func TestDomainCrossings(t *testing.T) {
 	if nilDom.Bound() != nil {
 		t.Fatal("nil domain reports a scheduler")
 	}
-	nilDom.Fire(&preempt.ByKind(preempt.KindVisitorStep)[0]) // must not panic
+	nilDom.Fire(testAcquire) // must not panic
 
 	hv.Preempt().Bind(&r)
 	defer hv.Preempt().Bind(nil)
@@ -79,16 +86,13 @@ func TestCrossingAllocationFree(t *testing.T) {
 	l.SetDomain(&dom)
 	tlb := arch.NewTLB(hv.Mem)
 	tlb.SetDomain(&dom)
-	acq := &preempt.ByKind(preempt.KindLockAcquire)[0]
-	rel := &preempt.ByKind(preempt.KindLockRelease)[0]
-	tlbi := &preempt.ByKind(preempt.KindTLBI)[0]
 	crossings := map[string]func(){
 		"QueueGuestOp": func() { queueMiss(hv) },
 		"LockAt/UnlockAt": func() {
-			l.LockAt(acq)
-			l.UnlockAt(rel)
+			l.LockAt(testAcquire)
+			l.UnlockAt(testRelease)
 		},
-		"InvalidateRange": func() { tlb.InvalidateRange(tlbi, 1, 0, arch.PageSize) },
+		"InvalidateRange": func() { tlb.InvalidateRange(testTLBI, 1, 0, arch.PageSize) },
 	}
 
 	r := &recorder{seen: make([]*preempt.Point, 0, 1024)}

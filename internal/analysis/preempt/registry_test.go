@@ -1,37 +1,30 @@
 package preempt
 
 import (
-	"sort"
+	"hash/fnv"
+	"strings"
 	"testing"
 )
 
-func TestGeneratedTable(t *testing.T) {
+// TestRegistry checks every point registered in this test binary (the
+// hypervisor's and the page tables', linked by the domain tests, plus
+// the tests' own): its ID is the FNV-1a hash of its name, is unique,
+// and is not a reserved pseudo-point ID, and its kind is one of the
+// four.
+func TestRegistry(t *testing.T) {
 	pts := Points()
 	if len(pts) == 0 {
-		t.Fatal("generated table is empty")
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Kind < b.Kind
-	}) {
-		t.Error("table not sorted by (file, line, col, kind)")
+		t.Fatal("no points registered")
 	}
 	seen := map[uint64]bool{}
 	for _, p := range pts {
-		if p.ID == 0 {
-			t.Errorf("%s:%d has zero ID", p.File, p.Line)
+		h := fnv.New64a()
+		h.Write([]byte(p.Name()))
+		if p.ID != h.Sum64() {
+			t.Errorf("%s: ID %#x is not the FNV-1a hash of its name", p.Name(), p.ID)
 		}
 		if p.ID == PointBoundary || p.ID == PointLockWait {
-			t.Errorf("%s:%d collides with reserved pseudo-point ID %d", p.File, p.Line, p.ID)
+			t.Errorf("%s collides with reserved pseudo-point ID %d", p.Name(), p.ID)
 		}
 		if seen[p.ID] {
 			t.Errorf("duplicate ID %#x", p.ID)
@@ -40,40 +33,42 @@ func TestGeneratedTable(t *testing.T) {
 		switch p.Kind {
 		case KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep:
 		default:
-			t.Errorf("%s:%d has unknown kind %q", p.File, p.Line, p.Kind)
+			t.Errorf("%s has unknown kind %q", p.Name(), p.Kind)
 		}
 	}
 }
 
-func TestByIDAndByKind(t *testing.T) {
-	pts := Points()
-	for _, p := range pts {
-		got, ok := ByID(p.ID)
-		if !ok || got != p {
-			t.Fatalf("ByID(%#x) = %+v, %v; want %+v", p.ID, got, ok, p)
+var testPoint = At(KindLockAcquire, "vms", "testFunc", 0)
+
+// TestByID checks that a declared point is registered under its
+// package and looked up by its ID as the declared value itself, and
+// that an unknown ID is neither a point nor Known.
+func TestByID(t *testing.T) {
+	if want := "lock-acquire|vms|ghostspec/internal/analysis/preempt.testFunc|0"; testPoint.Name() != want {
+		t.Errorf("Name() = %q, want %q", testPoint.Name(), want)
+	}
+	if want := "preempt.testFunc:lock-acquire:vms#0"; testPoint.String() != want {
+		t.Errorf("String() = %q, want %q", testPoint.String(), want)
+	}
+	if p, ok := ByID(testPoint.ID); !ok || p != testPoint || !Known(testPoint.ID) {
+		t.Errorf("ByID(%#x) = %v, %v; want the declared point", testPoint.ID, p, ok)
+	}
+	if _, ok := ByID(0xdeadbeef); ok || Known(0xdeadbeef) {
+		t.Error("an unknown ID is a point")
+	}
+	if !Known(PointBoundary) || !Known(PointLockWait) {
+		t.Error("a reserved pseudo-point is not Known")
+	}
+}
+
+// TestDuplicateAtPanics checks that a point cannot be declared twice:
+// two declarations would name one call, and their crossings would be
+// indistinguishable in a schedule.
+func TestDuplicateAtPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "declared twice") {
+			t.Fatalf("a second At of the same point did not panic: %v", r)
 		}
-	}
-	if _, ok := ByID(0xdeadbeef); ok {
-		t.Error("ByID found a point for an unknown ID")
-	}
-	total := 0
-	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep} {
-		byKind := ByKind(k)
-		for _, p := range byKind {
-			if p.Kind != k {
-				t.Errorf("ByKind(%s) returned %+v", k, p)
-			}
-		}
-		total += len(byKind)
-	}
-	if total != len(pts) {
-		t.Errorf("ByKind partitions cover %d points, table has %d", total, len(pts))
-	}
-	// The table must contain all four kinds: a missing kind means the
-	// extractor lost a whole class of interleaving sites.
-	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep} {
-		if len(ByKind(k)) == 0 {
-			t.Errorf("no %s points in the table", k)
-		}
-	}
+	}()
+	At(KindLockAcquire, "vms", "testFunc", 0)
 }

@@ -1,14 +1,11 @@
 package analysis
 
 import (
-	"cmp"
 	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"hash/fnv"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"ghostspec/internal/analysis/preempt"
@@ -16,26 +13,15 @@ import (
 
 // Preemption points. The deterministic multi-CPU scheduler
 // (internal/sched) may switch virtual CPUs only where the program
-// crosses a point of the checked-in table (internal/analysis/preempt):
-// lock acquire/release sites (where the ghost oracle records
-// abstractions and where the rank discipline serializes), TLBI
-// emissions (the edges of every break-before-make window), and
-// page-table visitor steps (the per-entry granularity at which a walk
-// can observe a racing mutation). Each such call passes its point: a
-// package-level variable initialised with preempt.At(kind, component,
-// func, ordinal), handed to the spinlock, TLB or walker that crosses
-// it. PreemptCheck holds every declaration to its call, and the
-// checked calls are the table ExtractPreemptPoints returns (rendered
-// by cmd/ghostlint -write-preempt, drift-gated by -check-preempt).
-
-// PointID hashes a point's name, "kind|component|file|func|ordinal"
-// (FNV-1a). The name holds no line, so an edit that moves a call
-// within its function keeps its ID.
-func PointID(kind preempt.Kind, comp, file, fn string, ordinal int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%d", kind, comp, file, fn, ordinal)
-	return h.Sum64()
-}
+// crosses a preemption point (internal/analysis/preempt): lock
+// acquire/release sites (where the ghost oracle records abstractions
+// and where the rank discipline serializes), TLBI emissions (the edges
+// of every break-before-make window), and page-table visitor steps
+// (the per-entry granularity at which a walk can observe a racing
+// mutation). Each such call passes its point: a package-level variable
+// initialised with preempt.At(kind, component, func, ordinal), handed
+// to the spinlock, TLB or walker that crosses it. At registers the
+// point at init; PreemptCheck holds every declaration to its call.
 
 // PreemptCheck checks the preemption points of a package:
 //
@@ -58,42 +44,11 @@ func (*PreemptCheck) Run(u *Universe, pkg *Package) []Finding {
 	return findings
 }
 
-// ExtractPreemptPoints checks every loaded package outside testdata
-// and returns the preemption-point table, sorted by (file, line, col,
-// kind), with the checker's findings.
-func ExtractPreemptPoints(u *Universe, modRoot string) ([]preempt.Point, []Finding) {
-	var pts []preempt.Point
-	var out []Finding
-	for _, pkg := range u.Pkgs {
-		if isTestdata(pkg) {
-			continue
-		}
-		rows, findings := scanPoints(u, pkg)
-		for _, r := range rows {
-			pos := u.Fset.Position(r.call.Pos())
-			file := pos.Filename
-			if rel, err := filepath.Rel(modRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = filepath.ToSlash(rel)
-			}
-			pts = append(pts, preempt.Point{
-				ID: PointID(r.kind, r.comp, file, r.fn, r.ordinal), Kind: r.kind, Component: r.comp,
-				Func: r.fn, Ordinal: r.ordinal, File: file, Line: pos.Line, Col: pos.Column,
-			})
-		}
-		out = append(out, findings...)
-	}
-	slices.SortFunc(pts, func(a, b preempt.Point) int {
-		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
-			cmp.Compare(a.Col, b.Col), strings.Compare(string(a.Kind), string(b.Kind)))
-	})
-	return pts, out
-}
-
 func isTestdata(pkg *Package) bool {
 	return strings.Contains(filepath.ToSlash(pkg.Dir), "/testdata/")
 }
 
-// pointName is what names a point within its file.
+// pointName is what names a point within its package.
 type pointName struct {
 	kind     preempt.Kind
 	comp, fn string
@@ -117,7 +72,8 @@ type pointRow struct {
 	call *ast.CallExpr
 }
 
-// scanPoints returns pkg's table rows and the checker's findings.
+// scanPoints returns the calls in pkg that pass a declared point, and
+// the checker's findings.
 func scanPoints(u *Universe, pkg *Package) ([]pointRow, []Finding) {
 	if strings.HasSuffix(pkg.Path, "internal/analysis/preempt") || isTestdata(pkg) && !importsPreempt(pkg) {
 		return nil, nil
@@ -129,9 +85,8 @@ func scanPoints(u *Universe, pkg *Package) ([]pointRow, []Finding) {
 	decls, order := pointDecls(pkg, report)
 	isArch := strings.HasSuffix(pkg.Path, "internal/arch")
 	var rows []pointRow
-	ordinals := map[string]int{}
+	ordinals := map[pointName]int{} // by name with ordinal 0
 	for _, f := range pkg.Files {
-		file := u.Fset.Position(f.Pos()).Filename
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -156,7 +111,7 @@ func scanPoints(u *Universe, pkg *Package) ([]pointRow, []Finding) {
 					case len(passed) > 1:
 						report(n, "%s call passes %d preemption points; it crosses one", kind, len(passed))
 					case len(passed) == 1:
-						key := fmt.Sprintf("%s|%s|%s|%s", kind, comp, file, fd.Name.Name)
+						key := pointName{kind, comp, fd.Name.Name, 0}
 						r := pointRow{pointName{kind, comp, fd.Name.Name, ordinals[key]}, n}
 						ordinals[key]++
 						rows = append(rows, r)
@@ -315,29 +270,4 @@ func isVisitorStep(pkg *Package, call *ast.CallExpr) bool {
 	}
 	t := exprType(pkg, sel.X)
 	return t != nil && isNamed(t, "internal/pgtable", "Visitor")
-}
-
-// RenderPreemptGo renders the generated half of the preempt package.
-// Output is deterministic byte-for-byte for a given table — the drift
-// gate (ghostlint -check-preempt, TestPreemptTableInSync) depends on
-// that.
-func RenderPreemptGo(pts []preempt.Point) []byte {
-	var b strings.Builder
-	b.WriteString(`// Code generated by ghostlint -write-preempt; DO NOT EDIT.
-
-package preempt
-
-// generatedPoints is the preemption-point table: every lock
-// acquire/release, TLBI emission, and pgtable visitor step in the
-// module that passes a point declared with At. Regenerate with
-//
-//	go run ./cmd/ghostlint -write-preempt
-var generatedPoints = []Point{
-`)
-	for _, p := range pts {
-		fmt.Fprintf(&b, "\t{ID: %#016x, Kind: %q, Component: %q, Func: %q, Ordinal: %d, File: %q, Line: %d, Col: %d},\n",
-			p.ID, p.Kind, p.Component, p.Func, p.Ordinal, p.File, p.Line, p.Col)
-	}
-	b.WriteString("}\n")
-	return []byte(b.String())
 }

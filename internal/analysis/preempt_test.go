@@ -2,8 +2,9 @@ package analysis
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
+	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,107 +13,128 @@ import (
 	"testing"
 
 	"ghostspec/internal/analysis/preempt"
+	// The packages that declare preemption points, so that the
+	// registry holds them for TestRegistryMatchesSource.
+	_ "ghostspec/internal/bugdemo"
+	_ "ghostspec/internal/hyp"
+	_ "ghostspec/internal/litmus"
+	_ "ghostspec/internal/pgtable"
 )
 
 // loadWholeModule loads every package of the module and returns the
-// universe plus module root.
+// universe plus module root. The load is shared by the tests of this
+// file, which only read it.
 func loadWholeModule(t *testing.T) (*Universe, string) {
 	t.Helper()
-	ld, err := NewLoader(".")
+	ld, err := wholeModule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	dirs, err := ModuleDirs(ld.ModRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dirs {
-		if _, err := ld.LoadDir(d); err != nil {
-			t.Fatalf("load %s: %v", d, err)
-		}
 	}
 	return NewUniverse(ld), ld.ModRoot
 }
 
+var wholeModule = sync.OnceValues(func() (*Loader, error) {
+	ld, err := NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := ModuleDirs(ld.ModRoot)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range dirs {
+		if _, err := ld.LoadDir(d); err != nil {
+			return nil, fmt.Errorf("load %s: %w", d, err)
+		}
+	}
+	return ld, nil
+})
+
+// extractPoints runs preemptcheck's scan over every loaded package
+// outside testdata and returns the checked calls, keyed by the name
+// preempt.At gives their point ("kind|component|pkg.func|ordinal"),
+// with the checker's findings.
+func extractPoints(u *Universe) (map[string]token.Position, []Finding) {
+	calls := map[string]token.Position{}
+	var findings []Finding
+	for _, pkg := range u.Pkgs {
+		if isTestdata(pkg) {
+			continue
+		}
+		rows, fs := scanPoints(u, pkg)
+		for _, r := range rows {
+			p := preempt.Point{Kind: r.kind, Component: r.comp, Pkg: pkg.Path, Func: r.fn, Ordinal: r.ordinal}
+			calls[p.Name()] = u.Fset.Position(r.call.Pos())
+		}
+		findings = append(findings, fs...)
+	}
+	return calls, findings
+}
+
 // TestPreemptStableIDs runs two extractions concurrently over the
 // same universe (under `go test -race` in CI this also proves the
-// extraction path is read-only) and requires them to agree point for
-// point: the scheduler contract is that IDs are a pure function of
-// the source.
+// extraction path is read-only) and requires them to agree call for
+// call: the scheduler contract is that point names, and so IDs, are a
+// pure function of the source.
 func TestPreemptStableIDs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	u, root := loadWholeModule(t)
+	u, _ := loadWholeModule(t)
 
 	var wg sync.WaitGroup
-	results := make([][]preempt.Point, 2)
+	results := make([]map[string]token.Position, 2)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = ExtractPreemptPoints(u, root)
+			results[i], _ = extractPoints(u)
 		}(i)
 	}
 	wg.Wait()
 
-	a, b := results[0], results[1]
-	if len(a) == 0 {
+	if len(results[0]) == 0 {
 		t.Fatal("extraction found no preemption points")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("extraction count differs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d differs between extractions: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// Content addressing: recomputing any point's ID from its name
-	// must reproduce it.
-	for _, p := range a {
-		if got := PointID(p.Kind, p.Component, p.File, p.Func, p.Ordinal); got != p.ID {
-			t.Errorf("ID of %s %s:%d:%d not content-addressed: table %#x, recomputed %#x",
-				p.Kind, p.File, p.Line, p.Col, p.ID, got)
-		}
+	if !maps.Equal(results[0], results[1]) {
+		t.Errorf("extractions differ:\n%v\n%v", results[0], results[1])
 	}
 }
 
-// TestPreemptTableInSync is the in-process drift gate: the module
-// passes the preemption-point checker, the checked-in generated table
-// matches a fresh extraction byte for byte, and a tampered copy is
-// detected.
-func TestPreemptTableInSync(t *testing.T) {
+// TestRegistryMatchesSource cross-checks the two halves of a point:
+// the module passes preemptcheck, and the points registered at run
+// time by the packages that declare them (linked into this test by the
+// blank imports) are exactly the points of the calls the checker
+// extracts from the source. A package path that At derived wrongly
+// from the stack would register a name no call has.
+func TestRegistryMatchesSource(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	u, root := loadWholeModule(t)
-	pts, findings := ExtractPreemptPoints(u, root)
+	u, _ := loadWholeModule(t)
+	calls, findings := extractPoints(u)
 	for _, f := range findings {
 		t.Errorf("preemption-point finding: %s", f)
 	}
-
-	genGo := RenderPreemptGo(pts)
-	got, err := os.ReadFile(filepath.Join(root, "internal", "analysis", "preempt", "points_gen.go"))
-	if err != nil {
-		t.Fatalf("points_gen.go: %v (run `go run ./cmd/ghostlint -write-preempt`)", err)
+	registered := map[string]bool{}
+	for _, p := range preempt.Points() {
+		registered[p.Name()] = true
+		if _, ok := calls[p.Name()]; !ok {
+			t.Errorf("registered point %s is passed at no call in the source", p.Name())
+		}
 	}
-	if !bytes.Equal(got, genGo) {
-		t.Errorf("points_gen.go is stale: run `go run ./cmd/ghostlint -write-preempt` and commit")
+	for name, pos := range calls {
+		if !registered[name] {
+			t.Errorf("%s: point %s is not registered at run time (is its package imported by this test?)", pos, name)
+		}
 	}
-	// Sanity of the gate itself: a single flipped byte must not
-	// compare equal.
-	tampered := append([]byte(nil), genGo...)
-	tampered[len(tampered)/2] ^= 1
-	if bytes.Equal(tampered, genGo) {
-		t.Error("tampered table compared equal")
-	}
+	t.Logf("%d points registered, %d calls extracted", len(registered), len(calls))
 }
 
 // grepPatterns are the textual shapes of lock operations and TLBI
 // emissions; TestPreemptGrepCoverage requires every match in the
-// module's non-test sources to appear in the checked-in table. This
-// is the acceptance check that the analyzer-driven extraction misses
+// module's non-test sources to be a call the checker extracts. This is
+// the acceptance check that the analyzer-driven extraction misses
 // nothing a dumb grep can see.
 var grepPatterns = []*regexp.Regexp{
 	regexp.MustCompile(`\.(lockHost|lockHyp|lockVMs|lockGuest|unlockHost|unlockHyp|unlockVMs|unlockGuest)\(`),
@@ -122,11 +144,11 @@ var grepPatterns = []*regexp.Regexp{
 	regexp.MustCompile(`\.(InvalidateRange|InvalidateIPA|InvalidateVMID|InvalidateStale|InvalidateAll)\(`),
 }
 
-// TestPreemptGrepCoverage cross-checks the generated table against a
+// TestPreemptGrepCoverage cross-checks the extracted calls against a
 // plain text search: every source line matching a lock/TLBI pattern
 // (outside internal/arch, which implements rather than emits, and
 // internal/analysis, whose matches are the analyzers' own name
-// tables) must carry at least one table point — unless the line is a
+// tables) must carry at least one checked call — unless the line is a
 // `defer` statement, which passes none, or lies in a function (or
 // function literal) taking a *preempt.Point, whose calls may forward
 // it: the lock helpers, notifyTLBI and the TLBI bridges.
@@ -134,15 +156,15 @@ func TestPreemptGrepCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads the whole module")
 	}
-	ld, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := ld.ModRoot
-
+	u, root := loadWholeModule(t)
+	calls, _ := extractPoints(u)
 	covered := map[string]bool{}
-	for _, p := range preempt.Points() {
-		covered[fmt.Sprintf("%s:%d", p.File, p.Line)] = true
+	for _, pos := range calls {
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered[fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)] = true
 	}
 
 	dirs, err := ModuleDirs(root)
@@ -188,12 +210,12 @@ func TestPreemptGrepCoverage(t *testing.T) {
 					key := fmt.Sprintf("%s/%s:%d", rel, name, ln)
 					if strings.HasPrefix(strings.TrimSpace(line), "defer ") {
 						if covered[key] {
-							t.Errorf("%s defers %q but has a preemption point in the table", key, re)
+							t.Errorf("%s defers %q but passes a preemption point", key, re)
 						}
 						break
 					}
 					if !covered[key] && !forwards {
-						t.Errorf("%s matches %q but has no preemption point in the table", key, re)
+						t.Errorf("%s matches %q but passes no preemption point", key, re)
 					}
 					break
 				}

@@ -499,7 +499,7 @@ func (e *Engine) newSystem(w int) (*proxy.Driver, *ghost.Recorder, *coverage.Tra
 }
 
 // bootSystem is newSystem under the exec.boot span — the phase that
-// dominates private-system campaigns (ROADMAP item 1's target).
+// dominates private-system campaigns.
 func (e *Engine) bootSystem(w int) (*proxy.Driver, *ghost.Recorder, *coverage.Tracker, error) {
 	sp := e.tracer.Begin(w, spanExecBoot)
 	defer sp.End()

@@ -15,9 +15,9 @@
 //     short replayable prefix.
 //
 // Litmus scenarios are deliberately hand-written, not fuzzed: they pin
-// the specific interleaving windows ROADMAP item 1 called out — lost
-// TLBI ordering, vCPU lifecycle windows, lock-window discipline — as
-// permanent regressions independent of campaign luck.
+// the specific interleaving windows the scheduler exists to reach —
+// lost TLBI ordering, vCPU lifecycle windows, lock-window discipline —
+// as permanent regressions independent of campaign luck.
 package litmus
 
 import (

@@ -629,18 +629,23 @@ type stepLog struct{ seen []*preempt.Point }
 func (l *stepLog) Crossing(p *preempt.Point) { l.seen = append(l.seen, p) }
 
 // TestVisitorStepPoints checks the walker's static visitor-step
-// points: they are exactly the table's visitor-step points,
+// points: they are exactly the registered visitor-step points,
 // walkLevel's three dispatches in source order, and the pre, post and
 // leaf walks each cross only their own point, once per callback.
 func TestVisitorStepPoints(t *testing.T) {
 	static := []*preempt.Point{stepPre, stepPost, stepLeaf}
-	pts := preempt.ByKind(preempt.KindVisitorStep)
+	var pts []*preempt.Point
+	for _, p := range preempt.Points() {
+		if p.Kind == preempt.KindVisitorStep {
+			pts = append(pts, p)
+		}
+	}
 	if len(pts) != 3 {
-		t.Fatalf("%d visitor-step points in the table, want walkLevel's 3", len(pts))
+		t.Fatalf("%d visitor-step points registered, want walkLevel's 3", len(pts))
 	}
 	for i, p := range pts {
-		if *static[i] != p || p.File != "internal/pgtable/pgtable.go" || p.Func != "walkLevel" {
-			t.Errorf("table point %+v is not walkLevel's dispatch %d (%+v)", p, i, *static[i])
+		if p != static[i] || p.Pkg != "ghostspec/internal/pgtable" || p.Func != "walkLevel" || p.Ordinal != i {
+			t.Errorf("registered point %v is not walkLevel's dispatch %d (%v)", p, i, static[i])
 		}
 	}
 
@@ -678,7 +683,7 @@ func TestVisitorStepPoints(t *testing.T) {
 		}
 		for _, p := range log.seen {
 			if p != c.want {
-				t.Errorf("%s crossed %s:%d, want %s:%d", c.name, p.File, p.Line, c.want.File, c.want.Line)
+				t.Errorf("%s crossed %v, want %v", c.name, p, c.want)
 				break
 			}
 		}

@@ -86,8 +86,8 @@ func TestStaleSchedulePointFailsLoudly(t *testing.T) {
 	if !strings.Contains(err.Error(), "not in the current table") {
 		t.Fatalf("stale-point error does not name the cause: %v", err)
 	}
-	if !strings.Contains(err.Error(), "-write-preempt") {
-		t.Fatalf("stale-point error does not say how to regenerate: %v", err)
+	if !strings.Contains(err.Error(), "re-record the schedule") {
+		t.Fatalf("stale-point error does not say what to do: %v", err)
 	}
 }
 
@@ -183,15 +183,15 @@ func TestScheduleStepString(t *testing.T) {
 	if got := (Step{VCPU: 1, Point: preempt.PointLockWait}).String(); got != "v1@lock" {
 		t.Fatalf("lock-wait step = %q", got)
 	}
-	pts := preempt.Points()
-	if len(pts) == 0 {
-		t.Skip("no generated points")
+	if got, want := (Step{VCPU: 2, Point: stringTestPoint.ID}).String(), "v2@sched.stringTest:lock-acquire:vms#0"; got != want {
+		t.Fatalf("point step = %q, want %q", got, want)
 	}
-	st := Step{VCPU: 2, Point: pts[0].ID}
-	if !strings.Contains(st.String(), ":") {
-		t.Fatalf("table step %q does not carry file:line", st)
+	if got := (Step{VCPU: 1, Point: 0xdeadbeef}).String(); got != "v1@0xdeadbeef" {
+		t.Fatalf("unknown-point step = %q", got)
 	}
 }
+
+var stringTestPoint = preempt.At(preempt.KindLockAcquire, "vms", "stringTest", 0)
 
 // TestDecisionAllocationFree pins a scheduling decision's cost: with
 // every cell parked, picking one and handing it the token allocates

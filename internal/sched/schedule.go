@@ -1,12 +1,12 @@
-// Package sched is the deterministic cooperative multi-vCPU scheduler
-// ROADMAP item 1 calls for: each virtual CPU's hypercall stream runs on
-// its own goroutine, but exactly one holds the run token at a time, and
-// the token changes hands only at preemption points — the statically
-// extracted table in internal/analysis/preempt plus two pseudo-points
-// (op boundaries and lock-wait re-grants). Every handoff is recorded as
-// a (vCPU, point) step; the resulting Schedule replays bit-identically
-// on unchanged source, and fails loudly — not by silent divergence —
-// when the table no longer knows a recorded point ID.
+// Package sched is the deterministic cooperative multi-vCPU scheduler:
+// each virtual CPU's hypercall stream runs on its own goroutine, but
+// exactly one holds the run token at a time, and the token changes
+// hands only at preemption points — the points declared with
+// preempt.At plus two pseudo-points (op boundaries and lock-wait
+// re-grants). Every handoff is recorded as a (vCPU, point) step; the
+// resulting Schedule replays bit-identically on unchanged source, and
+// fails loudly — not by silent divergence — when no registered point
+// has a recorded point ID.
 //
 // The protocol is token passing, not a central dispatcher: the parking
 // vCPU itself picks the successor (under the scheduler mutex) and sends
@@ -32,8 +32,8 @@ import (
 )
 
 // Step is one scheduling decision: at preemption point Point, the run
-// token was granted to vCPU VCPU. Point is either a stable table ID
-// from internal/analysis/preempt or one of the reserved pseudo-points
+// token was granted to vCPU VCPU. Point is either the stable ID of a
+// point declared with preempt.At or one of the reserved pseudo-points
 // (PointBoundary between trace ops, PointLockWait after a contended
 // spinlock was released to the granted vCPU).
 type Step struct {
@@ -42,9 +42,9 @@ type Step struct {
 }
 
 // String renders the step compactly: "v0@op" for an op boundary,
-// "v1@lock" for a lock-wait re-grant, "v1@file.go:42" for a table
-// point, and the raw hex ID for a point the current table does not
-// know (a stale schedule).
+// "v1@lock" for a lock-wait re-grant, the point's name for a
+// registered point ("v1@hyp.hostShareHyp:lock-acquire:host#0"), and
+// the raw hex ID for a point no longer registered (a stale schedule).
 func (st Step) String() string {
 	switch st.Point {
 	case preempt.PointBoundary:
@@ -53,14 +53,14 @@ func (st Step) String() string {
 		return fmt.Sprintf("v%d@lock", st.VCPU)
 	}
 	if p, ok := preempt.ByID(st.Point); ok {
-		return fmt.Sprintf("v%d@%s:%d", st.VCPU, p.File, p.Line)
+		return fmt.Sprintf("v%d@%s", st.VCPU, p)
 	}
 	return fmt.Sprintf("v%d@%#x", st.VCPU, st.Point)
 }
 
 // Schedule is a replayable sequence of scheduling decisions. It is
 // meaningful only together with the trace it was recorded against and
-// an unchanged preemption-point table.
+// unchanged preemption points.
 type Schedule struct {
 	Steps []Step
 }
@@ -85,11 +85,11 @@ func (s *Schedule) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Validate checks every step against the current preemption-point
-// table. A schedule recorded against different source must fail here,
-// loudly, rather than replay as something else: point IDs are
-// content-addressed (hash of kind and source position), so any edit to
-// an instrumented file invalidates the recorded IDs.
+// Validate checks every step against the registered preemption
+// points. A schedule recorded against different source must fail
+// here, loudly, rather than replay as something else: a point ID is
+// the hash of the point's name, so adding, removing or renaming a
+// point invalidates the recorded IDs.
 func (s *Schedule) Validate(ncpus int) error {
 	if s == nil {
 		return nil
@@ -101,9 +101,8 @@ func (s *Schedule) Validate(ncpus int) error {
 		}
 		if !preempt.Known(st.Point) {
 			return fmt.Errorf("sched: schedule step %d references preemption point %#x, which is not in "+
-				"the current table: the source changed since this schedule was recorded "+
-				"(regenerate with `go run ./cmd/ghostlint -write-preempt` and re-record the schedule)",
-				i, st.Point)
+				"the current table: a point was added, removed or renamed since this schedule was recorded "+
+				"(re-record the schedule)", i, st.Point)
 		}
 	}
 	return nil

@@ -135,11 +135,11 @@ func (l *Lock) SetTracer(t *trace.Tracer, lane int) {
 func (l *Lock) Component() string { return l.component }
 
 // Lock acquires the lock and runs the Acquired hook while holding it,
-// crossing no preemption point: for locks outside the point table.
+// crossing no preemption point: for calls that name none.
 func (l *Lock) Lock() { l.lock(nil) }
 
-// LockAt is Lock at the acquire point p, the caller's entry in the
-// preemption-point table: before acquiring it crosses p, so a
+// LockAt is Lock at the acquire point p, the caller's point declared
+// with preempt.At: before acquiring it crosses p, so a
 // deterministic scheduler can park the vCPU on the threshold of the
 // critical section.
 func (l *Lock) LockAt(p *preempt.Point) { l.lock(p) }
@@ -176,8 +176,8 @@ func (l *Lock) lock(p *preempt.Point) {
 }
 
 // Unlock runs the Releasing hook and drops the lock, crossing no
-// preemption point: for locks outside the point table and for
-// deferred releases. Unlocking a lock that is not held (double
+// preemption point: for calls that name none and for deferred
+// releases. Unlocking a lock that is not held (double
 // unlock) panics with the component name.
 func (l *Lock) Unlock() { l.unlock(nil) }
 

@@ -3,8 +3,7 @@
 // the flight recorder keeps per-CPU trap rings. Where the metrics
 // registry answers "how often and how long on average", spans answer
 // "where did *this* execution's time actually go" — the attribution
-// question ROADMAP Open item 1 (snapshot/CoW boot) needs a quantified
-// baseline for.
+// question every per-layer speed-up needs a quantified baseline for.
 //
 // A lane is a serialisation domain: one goroutine begins and ends
 // spans on a lane at a time, so the lane's open-span stack gives every
