@@ -159,24 +159,8 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	ld, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := ModuleDirs(ld.ModRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, d := range dirs {
-		pkg, err := ld.LoadDir(d)
-		if err != nil {
-			t.Fatalf("load %s: %v", d, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	u := NewUniverse(ld)
-	for _, pkg := range pkgs {
+	u, _ := loadWholeModule(t)
+	for _, pkg := range u.Pkgs {
 		var all []Finding
 		for _, a := range Analyzers() {
 			findings := a.Run(u, pkg)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -61,11 +62,10 @@ func (gc *GuardCheck) Run(u *Universe, pkg *Package) []Finding {
 			if !ok || fd.Body == nil || isLockPrimitive(fd) || isConstructorScope(fd.Name.Name) {
 				continue
 			}
-			// The pairing findings of the embedded lock hooks are
-			// lockcheck's to report; this walk only wants the held set.
-			var scratch []Finding
 			g := &guardFlow{
-				lockFlow: newLockFlow(u, pkg, &scratch, fd.Name.Name),
+				u:        u,
+				pkg:      pkg,
+				fname:    fd.Name.Name,
 				recvType: receiverTypeObj(pkg, fd),
 				seen:     make(map[token.Pos]bool),
 				skipKeys: make(map[*ast.Ident]bool),
@@ -77,23 +77,42 @@ func (gc *GuardCheck) Run(u *Universe, pkg *Package) []Finding {
 	return out
 }
 
-// guardFlow is guardcheck's set of flow hooks: lockcheck's, plus the
-// callees' lock-effect summaries, plus the guard check at every
-// identifier the walk evaluates.
+// guardFlow is guardcheck's set of flow hooks: lockcheck's held-set
+// transfer without lockcheck's checks (the pairing, rank, requires and
+// panic-safety findings are lockcheck's to report), plus the callees'
+// lock-effect summaries, plus the guard check at every identifier the
+// walk evaluates.
 type guardFlow struct {
-	*lockFlow
+	u        *Universe
+	pkg      *Package
+	fname    string
 	recvType types.Object
 	seen     map[token.Pos]bool
 	skipKeys map[*ast.Ident]bool
 	findings *[]Finding
 }
 
-// call applies the callee's net lock effect after lockcheck's rules,
-// when it has one. Lockcheck itself does without: its per-function
-// pairing rules already see every wrapper body directly.
-func (g *guardFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
-	g.lockFlow.call(call, at, st)
-	if op, _, _ := classifyLockCall(g.pkg, call); op != opNone {
+// join keeps the locks both paths hold in the same mode.
+func (g *guardFlow) join(_ ast.Stmt, a, b heldSet) heldSet {
+	if maps.Equal(a, b) {
+		return a
+	}
+	return a.meet(b)
+}
+
+func (g *guardFlow) enter(st heldSet, spawned bool) heldSet { return enterHeld(st, spawned) }
+
+func (g *guardFlow) deferred(d *ast.DeferStmt, st heldSet) { deferredLockReleases(g.pkg, d, st) }
+
+func (g *guardFlow) exit(token.Pos, heldSet, string) {}
+
+// call applies a lock operation as lockcheck does, and otherwise the
+// callee's net lock effect, when it has one. Lockcheck itself does
+// without: its per-function pairing rules already see every wrapper
+// body directly.
+func (g *guardFlow) call(call *ast.CallExpr, _ ast.Stmt, st heldSet) {
+	if op, comp, _ := classifyLockCall(g.pkg, call); op != opNone {
+		applyLockOp(st, op, comp)
 		return
 	}
 	if callee := resolveCallee(g.pkg, call); callee != nil {

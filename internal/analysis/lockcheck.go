@@ -85,7 +85,9 @@ func lockEntry(u *Universe, pkg *Package, fd *ast.FuncDecl) heldSet {
 // enter: a literal that runs inline (or escapes) may execute under the
 // current locks, which it must not release or leak; a goroutine does
 // not inherit the parent's critical section.
-func (a *lockFlow) enter(st heldSet, spawned bool) heldSet {
+func (a *lockFlow) enter(st heldSet, spawned bool) heldSet { return enterHeld(st, spawned) }
+
+func enterHeld(st heldSet, spawned bool) heldSet {
 	entry := heldSet{}
 	if !spawned {
 		for k := range st {
@@ -113,12 +115,8 @@ func (a *lockFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
 	switch {
 	case op == opNone:
 		a.checkCall(call, st)
+		return
 	case !isStmt:
-		if op == opAcquire && !held {
-			st[comp] = heldActive
-		} else if op == opRelease && held {
-			delete(st, comp)
-		}
 	case op == opAcquire && held:
 		a.report(call.Pos(), "%s: acquisition of %q while already holding it on this path",
 			a.fname, comp)
@@ -133,12 +131,34 @@ func (a *lockFlow) call(call *ast.CallExpr, at ast.Stmt, st heldSet) {
 				}
 			}
 		}
-		st[comp] = heldActive
-	case held:
-		delete(st, comp)
-	default:
+	case !held:
 		a.report(call.Pos(), "%s: unlock of %q, which is not held on this path", a.fname, comp)
 	}
+	applyLockOp(st, op, comp)
+}
+
+// applyLockOp is a lock operation's effect on the held set: acquiring
+// a lock not held makes it active, releasing a held one drops it. The
+// other cases, which lockcheck reports, leave the set as it is.
+func applyLockOp(st heldSet, op lockOp, comp string) {
+	_, held := st[comp]
+	switch {
+	case op == opAcquire && !held:
+		st[comp] = heldActive
+	case op == opRelease && held:
+		delete(st, comp)
+	}
+}
+
+// deferredLockReleases marks as deferred each held lock the defer
+// statement's call releases.
+func deferredLockReleases(pkg *Package, d *ast.DeferStmt, st heldSet) {
+	st.deferReleases(d.Call, func(c *ast.CallExpr) string {
+		if op, comp, _ := classifyLockCall(pkg, c); op == opRelease {
+			return comp
+		}
+		return ""
+	})
 }
 
 // checkCall enforces //ghost:requires at a call site (L3) and the
@@ -181,10 +201,5 @@ func (a *lockFlow) deferred(d *ast.DeferStmt, st heldSet) {
 			a.report(d.Pos(), "%s: deferred unlock of %q, which is not held here", a.fname, comp)
 		}
 	}
-	st.deferReleases(d.Call, func(c *ast.CallExpr) string {
-		if op, comp, _ := classifyLockCall(a.pkg, c); op == opRelease {
-			return comp
-		}
-		return ""
-	})
+	deferredLockReleases(a.pkg, d, st)
 }

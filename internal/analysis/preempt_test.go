@@ -23,7 +23,7 @@ import (
 
 // loadWholeModule loads every package of the module and returns the
 // universe plus module root. The load is shared by the tests of this
-// file, which only read it.
+// package that type-check the whole module, which only read it.
 func loadWholeModule(t *testing.T) (*Universe, string) {
 	t.Helper()
 	ld, err := wholeModule()

@@ -56,18 +56,29 @@ type Frame [PTEsPerTable]uint64
 // out with ReadFrame.
 func (f *Frame) PTE(idx int) PTE { return PTE(f[idx]) }
 
-// frameCell is a frame plus its write-generation counter. The counter
-// is bumped after every store into the frame, so a reader that records
-// the generation before reading the contents can later detect whether
-// any word may have changed — the invalidation signal the ghost
-// abstraction cache and the snapshot dirty-tracker key on. Bumping
-// after the store (not before) is the conservative order: a racing
-// snapshot can record a stale generation for fresh data (forcing a
-// needless re-read later) but never a fresh generation for stale data.
+// frameCell is a frame plus its write-generation counters: one for the
+// frame and one per 64-word block. A store bumps the counter of the
+// block it stored into, then the frame's, so a reader that records a
+// generation before reading the contents can later detect whether any
+// word it covers may have changed — the invalidation signal the ghost
+// abstraction cache and the snapshot dirty-tracker key on. The frame
+// counter says whether to look at all; the block counters say which
+// eighths of the frame to re-read. Bumping after the store (not
+// before) is the conservative order: a racing snapshot can record a
+// stale generation for fresh data (forcing a needless re-read later)
+// but never a fresh generation for stale data.
 type frameCell struct {
-	gen atomic.Uint64
-	f   Frame
+	gen    atomic.Uint64
+	blocks [FrameBlocks]atomic.Uint64
+	f      Frame
 }
+
+// BlockWords is the number of words covered by one block generation
+// counter, and FrameBlocks the number of blocks in a frame.
+const (
+	BlockWords  = 64
+	FrameBlocks = PTEsPerTable / BlockWords
+)
 
 // MemLayout describes the simulated physical map: a contiguous RAM
 // region, optionally preceded by an MMIO hole at the bottom of the
@@ -210,8 +221,17 @@ func (m *Memory) Write64(pa PhysAddr, v uint64) {
 		panic(fmt.Sprintf("arch: unaligned Write64 at %#x", uint64(pa)))
 	}
 	c := m.frame(pa)
-	atomic.StoreUint64(&c.f[(pa&PageMask)>>3], v)
+	i := (pa & PageMask) >> 3
+	atomic.StoreUint64(&c.f[i], v)
+	c.blocks[i/BlockWords].Add(1)
 	c.gen.Add(1)
+}
+
+// word returns a stable pointer to the word at pa, allocating its frame
+// on first use; loads through it must be atomic. Frames are never
+// freed or replaced, so the pointer stays the word's for good.
+func (m *Memory) word(pa PhysAddr) *uint64 {
+	return &m.frame(pa).f[(pa&PageMask)>>3]
 }
 
 // ReadPTE loads the descriptor at index idx of the table page at
@@ -239,19 +259,42 @@ func (m *Memory) WritePTE(table PhysAddr, idx int, p PTE) {
 	m.Write64(table+PhysAddr(idx*8), uint64(p))
 }
 
-// DiffFrame brings dst up to date with the frame containing pa in one
-// pass: every word that differs from dst is reported to changed, as
-// the descriptor dst held and the one the frame holds now, and then
-// stored into dst. Words that read back equal cost one atomic load and
-// a compare. Like ReadFrame it is not a snapshot against racing
-// writers, but each word is read once, so what changed reports is
-// exactly what dst ends up holding.
-func (m *Memory) DiffFrame(pa PhysAddr, dst *Frame, changed func(idx int, was, now PTE)) {
+// BlockGens records into gens the write generation of each block of
+// the frame containing pa. A reader records them before reading the
+// frame, so that DiffBlocks can later re-read only the blocks written
+// since.
+func (m *Memory) BlockGens(pa PhysAddr, gens *[FrameBlocks]uint64) {
 	c := m.frame(pa)
-	for i := range c.f {
-		if w := atomic.LoadUint64(&c.f[i]); w != dst[i] {
-			changed(i, PTE(dst[i]), PTE(w))
-			dst[i] = w
+	for b := range gens {
+		gens[b] = c.blocks[b].Load()
+	}
+}
+
+// DiffBlocks brings dst up to date with the frame containing pa,
+// reading only the blocks whose generation differs from the one gens
+// recorded: it records each such block's new generation, then reports
+// every word of the block that differs from dst to changed, as the
+// descriptor dst held and the one the frame holds now, and stores it
+// into dst. Like ReadFrame it is not a snapshot against racing
+// writers, but each word is read once, so what changed reports is
+// exactly what dst ends up holding. A caller whose dst does not match
+// the recorded generations (a buffer never filled from the frame)
+// first sets gens to values no block can have, such as ^0.
+func (m *Memory) DiffBlocks(pa PhysAddr, gens *[FrameBlocks]uint64, dst *Frame, changed func(idx int, was, now PTE)) {
+	c := m.frame(pa)
+	for b := range gens {
+		g := c.blocks[b].Load()
+		if g == gens[b] {
+			continue
+		}
+		gens[b] = g
+		lo := b * BlockWords
+		words, d := c.f[lo:lo+BlockWords], dst[lo:lo+BlockWords]
+		for j := range words {
+			if w := atomic.LoadUint64(&words[j]); w != d[j] {
+				changed(lo+j, PTE(d[j]), PTE(w))
+				d[j] = w
+			}
 		}
 	}
 }
@@ -284,19 +327,40 @@ func (m *Memory) ZeroPage(pa PhysAddr) {
 	zeroCell(m.frame(pa), 0, PTEsPerTable)
 }
 
-// zeroCell zeroes words [lo, hi) of the cell and bumps its generation
-// once, also when every word was already zero: generation consumers
-// (snapshot baselines, the ghost abstraction cache) key on "this frame
-// was written", not on "its content changed". Each word is loaded and
-// stored only when non-zero; both stay single-copy atomic, so a racing
-// reader sees every word either old or zero, as with an unconditional
-// store. Scrubbed frames are almost always zero already, which makes
-// the skip the difference between a read pass and a write pass.
-func zeroCell(c *frameCell, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		if atomic.LoadUint64(&c.f[j]) != 0 {
-			atomic.StoreUint64(&c.f[j], 0)
+// zeroCell zeroes words [lo, hi) of the cell; see storeWords.
+func zeroCell(c *frameCell, lo, hi int) { storeWords(c, lo, hi, &zeroFrame) }
+
+var zeroFrame Frame
+
+// storeWords stores words [lo, hi) of want into the cell, bumps the
+// generation of every block where a word changed, and then bumps the
+// frame's generation once, also when no word changed: frame
+// generation consumers (snapshot baselines, the ghost abstraction
+// cache's dirty scan) key on "this frame was written", block
+// generation consumers only on "these words may differ". Each word is
+// loaded and stored only when it differs; both stay single-copy
+// atomic, so a racing reader sees every word either old or new, as
+// with an unconditional store. Scrubbed frames are almost always zero
+// already and restored frames differ from their image in a few words,
+// which makes the skip the difference between a read pass and a write
+// pass.
+func storeWords(c *frameCell, lo, hi int, want *Frame) {
+	for lo < hi {
+		b := lo / BlockWords
+		end := min(hi, (b+1)*BlockWords)
+		words, w := c.f[lo:end], want[lo:end]
+		w = w[:len(words)] // one bounds check per block, not two per word
+		stored := false
+		for j := range words {
+			if atomic.LoadUint64(&words[j]) != w[j] {
+				atomic.StoreUint64(&words[j], w[j])
+				stored = true
+			}
 		}
+		if stored {
+			c.blocks[b].Add(1)
+		}
+		lo = end
 	}
 	c.gen.Add(1)
 }

@@ -1,6 +1,11 @@
 package arch
 
-import "testing"
+import (
+	"maps"
+	"math/rand/v2"
+	"sync"
+	"testing"
+)
 
 // TestFrameGenerations: every store bumps the containing frame's
 // generation exactly once, ZeroPage bumps once, and untouched frames
@@ -138,11 +143,12 @@ func TestScrubConcurrentReader(t *testing.T) {
 	}
 }
 
-// TestDiffFrameReportsChangedWords: one pass reports exactly the
+// TestDiffBlocksReportsChangedWords: one pass reports exactly the
 // indices whose word differs from the copy, each with the copy's old
-// and the frame's new value, and leaves the copy equal to the frame;
-// a second pass reports nothing. Diffing does not write the frame.
-func TestDiffFrameReportsChangedWords(t *testing.T) {
+// and the frame's new value, in index order, and leaves the copy equal
+// to the frame; a second pass reports nothing. A block no store
+// touched is not read, and diffing does not write the frame.
+func TestDiffBlocksReportsChangedWords(t *testing.T) {
 	m := NewMemory(DefaultLayout())
 	pa := m.RAMStart()
 	var copyF Frame
@@ -150,6 +156,8 @@ func TestDiffFrameReportsChangedWords(t *testing.T) {
 		copyF[i] = uint64(i) << 12
 		m.Write64(pa+PhysAddr(i*8), uint64(i)<<12)
 	}
+	var gens [FrameBlocks]uint64
+	m.BlockGens(pa, &gens)
 	want := map[int][2]uint64{}
 	for _, i := range []int{0, 1, 7, 255, 256, 511} {
 		now := uint64(i)<<12 | 3
@@ -159,11 +167,14 @@ func TestDiffFrameReportsChangedWords(t *testing.T) {
 		m.Write64(pa+PhysAddr(i*8), now)
 		want[i] = [2]uint64{uint64(i) << 12, now}
 	}
+	// A word of block 2 the copy does not know about: the block's
+	// generation never moved, so the diff must not look at it.
+	copyF[130] ^= 1
 	gen := m.FrameGen(pa)
 
 	got := map[int][2]uint64{}
 	last := -1
-	m.DiffFrame(pa, &copyF, func(idx int, was, now PTE) {
+	m.DiffBlocks(pa, &gens, &copyF, func(idx int, was, now PTE) {
 		if idx <= last {
 			t.Errorf("index %d reported after %d", idx, last)
 		}
@@ -178,13 +189,150 @@ func TestDiffFrameReportsChangedWords(t *testing.T) {
 			t.Errorf("index %d: reported %#x, want %#x", i, got[i], w)
 		}
 	}
+	copyF[130] ^= 1
 	var live Frame
 	m.ReadFrame(pa, &live)
 	if live != copyF {
 		t.Fatal("the copy differs from the frame after the diff")
 	}
-	m.DiffFrame(pa, &copyF, func(idx int, _, _ PTE) { t.Errorf("second pass reported index %d", idx) })
+	m.DiffBlocks(pa, &gens, &copyF, func(idx int, _, _ PTE) { t.Errorf("second pass reported index %d", idx) })
 	if g := m.FrameGen(pa); g != gen {
 		t.Fatalf("diffing moved the frame's generation %d -> %d", gen, g)
+	}
+}
+
+// fullDiff is the reference the block diff is held to: every word of
+// the frame at pa compared with dst, changed words reported and
+// stored.
+func fullDiff(m *Memory, pa PhysAddr, dst *Frame) map[int][2]uint64 {
+	out := map[int][2]uint64{}
+	var live Frame
+	m.ReadFrame(pa, &live)
+	for i := range live {
+		if live[i] != dst[i] {
+			out[i] = [2]uint64{dst[i], live[i]}
+			dst[i] = live[i]
+		}
+	}
+	return out
+}
+
+// TestDiffBlocksMatchesFullDiff: over random stores through every
+// store path (Write64, ZeroWords across frame boundaries, ZeroPage,
+// and snapshot restores to the image and to a delta), diffing only the
+// blocks whose generation moved reports exactly what a full-frame
+// diff reports. Each frame keeps two copies, one per diff.
+func TestDiffBlocksMatchesFullDiff(t *testing.T) {
+	const nframes = 3
+	m := NewMemory(testLayout())
+	base := m.RAMStart()
+	rng := rand.New(rand.NewPCG(1, 2))
+	word := func() PhysAddr { return base + PhysAddr(rng.IntN(nframes*PTEsPerTable)*8) }
+	for i := 0; i < 200; i++ {
+		m.Write64(word(), rng.Uint64())
+	}
+	img := m.CaptureImage()
+	bl, ok := img.NewBaseline(m)
+	if !ok {
+		t.Fatal("baseline over the captured memory must verify")
+	}
+	var (
+		gens  [nframes][FrameBlocks]uint64
+		block [nframes]Frame
+		full  [nframes]Frame
+	)
+	for f := range nframes {
+		pa := base + PhysAddr(f)*PageSize
+		m.BlockGens(pa, &gens[f])
+		m.ReadFrame(pa, &block[f])
+		full[f] = block[f]
+	}
+	var delta *MemDelta
+	for step := 0; step < 2000; step++ {
+		switch op := rng.IntN(20); {
+		case op < 12:
+			pa := word()
+			v := rng.Uint64()
+			if op < 4 {
+				v = m.Read64(pa) // a store of the value already there
+			}
+			m.Write64(pa, v)
+		case op < 15:
+			pa := word()
+			n := 1 + rng.IntN(2*PTEsPerTable)
+			if end := base + nframes*PageSize; pa+PhysAddr(n*8) > end {
+				n = int(end-pa) / 8
+			}
+			m.ZeroWords(pa, n)
+		case op < 16:
+			m.ZeroPage(word())
+		case op < 18:
+			bl.Restore()
+		case op < 19:
+			delta = bl.CaptureDelta()
+		default:
+			bl.RestoreWith(delta)
+		}
+		for f := range nframes {
+			pa := base + PhysAddr(f)*PageSize
+			got := map[int][2]uint64{}
+			m.DiffBlocks(pa, &gens[f], &block[f], func(idx int, was, now PTE) {
+				got[idx] = [2]uint64{uint64(was), uint64(now)}
+			})
+			if want := fullDiff(m, pa, &full[f]); !maps.Equal(got, want) {
+				t.Fatalf("step %d frame %d: block diff %v, full diff %v", step, f, got, want)
+			}
+		}
+	}
+}
+
+// TestDiffBlocksConcurrentWriters: block diffs racing with writers on
+// every store path never leave the copy behind for good. Once the
+// writers stop, one more diff brings the copy level with the frame,
+// because each writer bumps its block after its store (run under
+// -race: the diff's loads must stay atomic).
+func TestDiffBlocksConcurrentWriters(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	pa := m.RAMStart()
+	var gens [FrameBlocks]uint64
+	var copyF Frame
+	m.BlockGens(pa, &gens)
+	m.ReadFrame(pa, &copyF)
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(seed, 7))
+				for i := 0; i < 300; i++ {
+					at := pa + PhysAddr(rng.IntN(PTEsPerTable)*8)
+					switch rng.IntN(10) {
+					case 0:
+						m.ZeroWords(at, 1+rng.IntN(BlockWords))
+					case 1:
+						m.ZeroPage(pa)
+					default:
+						m.Write64(at, rng.Uint64()|1)
+					}
+				}
+			}(uint64(round*3 + w))
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			m.DiffBlocks(pa, &gens, &copyF, func(int, PTE, PTE) {})
+		}
+		m.DiffBlocks(pa, &gens, &copyF, func(int, PTE, PTE) {})
+		var live Frame
+		m.ReadFrame(pa, &live)
+		if live != copyF {
+			t.Fatalf("round %d: the copy differs from the quiescent frame", round)
+		}
 	}
 }

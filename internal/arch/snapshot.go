@@ -22,11 +22,13 @@ import (
 //     instead of page protections.
 //
 // Restores never roll a generation backward. A restored frame is
-// rewritten and its generation bumped *forward*, so every
-// generation-keyed consumer (the ghost pgtable cache, TLB entry
-// dependencies) self-invalidates exactly where content changed and
-// stays warm everywhere else. Restore-path code elsewhere in the tree
-// must go through these entry points rather than writing frames
+// rewritten in place, and the blocks whose words changed and then the
+// frame have their generations bumped *forward*, so every
+// generation-keyed consumer (the ghost pgtable cache) self-invalidates
+// exactly where content changed and stays warm everywhere else. TLB
+// entries record the descriptor values their walks read, so they see
+// the restored values directly. Restore-path code elsewhere in the
+// tree must go through these entry points rather than writing frames
 // directly; ghostlint's snapshotcheck enforces that.
 
 // MemImage is an immutable content snapshot of every frame a Memory
@@ -268,23 +270,17 @@ func (bl *MemBaseline) RestoreWith(delta *MemDelta) int {
 	return dirty
 }
 
-// writeFrame stores want (nil = zero) into the cell, then bumps the
-// generation once — same store-then-bump order as Write64. Only the
-// words that differ are stored: a dirty frame usually differs from its
-// image in a few words. The bump happens even when none did, because
+// writeFrame stores want (nil = zero) into the cell with storeWords:
+// only the words that differ are stored, and only their blocks bumped,
+// since a dirty frame usually differs from its image in a few words.
+// The frame generation is bumped even when no word differed, because
 // RestoreWith's baseline bookkeeping (forceDirty) relies on every
-// rewrite moving the generation.
+// rewrite moving it.
 func writeFrame(c *frameCell, want *Frame) {
 	if want == nil {
-		zeroCell(c, 0, PTEsPerTable)
-		return
+		want = &zeroFrame
 	}
-	for i := range c.f {
-		if atomic.LoadUint64(&c.f[i]) != want[i] {
-			atomic.StoreUint64(&c.f[i], want[i])
-		}
-	}
-	c.gen.Add(1)
+	storeWords(c, 0, PTEsPerTable, want)
 }
 
 func frameZero(f *Frame) bool {

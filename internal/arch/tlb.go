@@ -35,11 +35,16 @@ var (
 // by it and a fill after it reads the new tables: stale entries exist
 // if and only if a required TLBI was never issued.
 //
-// Each entry records the write generation (arch.Memory's counters,
-// bumped after every store) of every table page its walk read. While
-// they are unchanged the walk provably still gives the same result, so
-// CheckCoherence and InvalidateStale skip those entries and LookupLeaf
-// may serve them to software reads.
+// Each entry records the descriptors its walk read: for each level, a
+// pointer to the descriptor word in memory and the value it loaded. A
+// walk is a function of the words it read (the root is part of the
+// key), so while every recorded word still holds its value the walk
+// provably gives the same result: CheckCoherence and InvalidateStale
+// skip those entries and LookupLeaf may serve them to software reads.
+// Frames are never freed or replaced, so a recorded pointer names the
+// same word for good. A store elsewhere in the same table page, which
+// is what the hypervisor's maps and unmaps mostly are, leaves the entry
+// fresh.
 
 // VMID tags a translation regime: which (virtual) machine's tables a
 // cached walk came from. Mirrors the VMID field hardware tags stage 2
@@ -74,11 +79,11 @@ type tlbKey struct {
 	stage Stage
 }
 
-// tlbDep is one table page the cached walk read: the page's generation
-// cell and the value it held before the read.
+// tlbDep is one descriptor the cached walk read: the word it loaded
+// and the value it read.
 type tlbDep struct {
-	ref *atomic.Uint64
-	gen uint64
+	word *uint64
+	val  uint64
 }
 
 // tlbEntry is one cached translation.
@@ -91,11 +96,11 @@ type tlbEntry struct {
 	ndeps int
 }
 
-// depsFresh reports whether every table page the cached walk read is
-// still unchanged.
+// depsFresh reports whether every descriptor the cached walk read
+// still holds the value it read.
 func (e *tlbEntry) depsFresh() bool {
 	for i := 0; i < e.ndeps; i++ {
-		if e.deps[i].ref.Load() != e.deps[i].gen {
+		if atomic.LoadUint64(e.deps[i].word) != e.deps[i].val {
 			return false
 		}
 	}
@@ -140,7 +145,7 @@ func (s *tlbSet) filter(keep func(*tlbEntry) bool) {
 		}
 		w++
 	}
-	clear(s.entries[w:]) // drop the generation pointers
+	clear(s.entries[w:]) // drop the descriptor pointers
 	s.entries = s.entries[:w]
 }
 
@@ -256,16 +261,17 @@ func (t *TLB) fill(cpu int, vmid VMID, s *tlbSet, key tlbKey) (PTE, int) {
 	return e.pte, e.level
 }
 
-// walk is WalkLeaf for e's page with dependency recording: each table
-// page's generation is loaded before its descriptor, so an unchanged
-// generation later proves the read is still current.
+// walk is WalkLeaf for e's page with dependency recording: each
+// descriptor is loaded once, and the word and the value it held are
+// recorded, so an unchanged value later proves the read is still
+// current.
 func (t *TLB) walk(e *tlbEntry) {
 	ia := e.key.page << PageShift
 	table := e.key.root
 	for level := StartLevel; level <= LastLevel; level++ {
-		ref := t.mem.FrameGenRef(table)
-		e.deps[level-StartLevel] = tlbDep{ref: ref, gen: ref.Load()}
-		pte := t.mem.ReadPTE(table, IndexAt(ia, level))
+		w := t.mem.word(table + PhysAddr(IndexAt(ia, level)*8))
+		pte := PTE(atomic.LoadUint64(w))
+		e.deps[level-StartLevel] = tlbDep{word: w, val: uint64(pte)}
 		if pte.Kind(level) != EKTable {
 			e.pte, e.level, e.ndeps = pte, level, level-StartLevel+1
 			return
@@ -278,7 +284,7 @@ func (t *TLB) walk(e *tlbEntry) {
 // LookupLeaf is the software lookup path serving pgtable.GetLeaf: the
 // hypervisor reads its own tables with ordinary loads, not through the
 // hardware TLB, so unlike Walk a cached entry is only served after
-// revalidating its dependency generations — a software read must never
+// revalidating the descriptors its walk read — a software read must never
 // observe a stale descriptor, even when a TLBI was (buggily) skipped.
 // Misses do not fill; entries come from hardware walks.
 func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE, int, bool) {
@@ -337,11 +343,11 @@ func (t *TLB) InvalidateAll(p *preempt.Point) {
 	t.sweep(0, true, func(*tlbEntry) bool { return false })
 }
 
-// InvalidateStale drops every cached translation whose recorded table
-// pages have been rewritten since the fill. A snapshot restore bumps
-// the generation of each frame it rewrites, so this one sweep is the
-// whole TLB story of a restore: entries over restored table pages
-// vanish, the others stay warm across executions. (Walk hits do not
+// InvalidateStale drops every cached translation one of whose recorded
+// descriptors has changed since the fill. A snapshot restore rewrites
+// descriptors in place, so this one sweep is the whole TLB story of a
+// restore: entries whose walks read restored descriptors vanish, the
+// others stay warm across executions. (Walk hits do not
 // check dependencies, so without the sweep the next execution would
 // translate through the previous one's tables and trip
 // CheckCoherence.)
@@ -387,8 +393,8 @@ func (t *TLB) Len() int {
 // CheckCoherence re-walks vmid's entries against the current tables
 // and returns, in fill order, a description of each whose cached
 // translation disagrees — the evidence behind the ghost oracle's
-// FailStaleTLB alarm. Entries whose dependencies never moved are
-// skipped; a re-walk that yields the same translation refreshes the
+// FailStaleTLB alarm. Entries whose recorded descriptors are unchanged
+// are skipped; a re-walk that yields the same translation refreshes the
 // entry in place. Stale entries are reported once and dropped.
 //
 // The caller must hold the lock of the component owning vmid's tables

@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -59,9 +61,9 @@ func TestTLBLookupLeafRevalidates(t *testing.T) {
 	if pte, level, ok := tlb.LookupLeaf(root, Stage2, 1, 0x1000); !ok || level != 3 || pte.OutputAddr(3) != 0x4000_1000 {
 		t.Fatalf("fresh LookupLeaf = %#x level %d ok %v", uint64(pte.OutputAddr(3)), level, ok)
 	}
-	// Any store to a dependency page makes the software path refuse the
-	// entry, TLBI or not: the hypervisor reads its tables with ordinary
-	// loads and must never see a stale descriptor.
+	// A store to a descriptor the walk read makes the software path
+	// refuse the entry, TLBI or not: the hypervisor reads its tables
+	// with ordinary loads and must never see a stale descriptor.
 	l3 := PhysAddr(0x9000_3000)
 	m.WritePTE(l3, 1, MakeLeaf(3, 0x4000_6000, Attrs{Perms: PermRW, Mem: MemNormal}))
 	if _, _, ok := tlb.LookupLeaf(root, Stage2, 1, 0x1000); ok {
@@ -216,7 +218,8 @@ func TestTLBConcurrentFillsVsTLBI(t *testing.T) {
 }
 
 // TestTLBRefreshDoesNotAllocate: a coherence check whose only work is
-// refreshing moved-but-equal entries updates them in place.
+// refreshing entries whose walk changed but whose translation did not
+// updates them in place.
 func TestTLBRefreshDoesNotAllocate(t *testing.T) {
 	m := NewMemory(DefaultLayout())
 	root := buildTestTable(m)
@@ -226,10 +229,17 @@ func TestTLBRefreshDoesNotAllocate(t *testing.T) {
 			t.Fatalf("walk %#x faulted: %v", ia, f)
 		}
 	}
-	l3 := PhysAddr(0x9000_3000)
-	leaf := m.ReadPTE(l3, 0)
+	// Two identical last-level tables; each round moves the walks of
+	// the two pages from one to the other.
+	l2, l3 := PhysAddr(0x9000_2000), PhysAddr(0x9000_3000)
+	tables := [2]PhysAddr{l3, 0x9000_4000}
+	for i := 0; i < 2; i++ {
+		m.WritePTE(tables[1], i, m.ReadPTE(l3, i))
+	}
+	round := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		m.WritePTE(l3, 0, leaf) // same descriptor, new generation
+		round++
+		m.WritePTE(l2, 0, MakeTable(tables[round%2])) // same translations
 		if stale := tlb.CheckCoherence(1); len(stale) != 0 {
 			t.Fatalf("refresh reported stale: %v", stale)
 		}
@@ -326,10 +336,18 @@ func TestTLBCheckCoherence(t *testing.T) {
 		t.Fatalf("fresh entry reported stale: %v", stale)
 	}
 
-	// A generation bump that does not change the translation (rewriting
-	// the same descriptor) refreshes the entry instead of reporting it.
-	l3 := PhysAddr(0x9000_3000)
+	// Rewriting the same descriptor leaves the entry fresh; moving the
+	// walk to a copy of its last-level table changes a descriptor it
+	// read but not the translation, which refreshes the entry instead
+	// of reporting it.
+	l2, l3, l3copy := PhysAddr(0x9000_2000), PhysAddr(0x9000_3000), PhysAddr(0x9000_4000)
 	m.WritePTE(l3, 0, MakeLeaf(3, 0x4000_0000, Attrs{Perms: PermRWX, Mem: MemNormal}))
+	m.WritePTE(l3copy, 0, m.ReadPTE(l3, 0))
+	m.WritePTE(l2, 0, MakeTable(l3copy))
+	if stale := tlb.CheckCoherence(1); len(stale) != 0 {
+		t.Fatalf("equal re-walk reported stale: %v", stale)
+	}
+	m.WritePTE(l2, 0, MakeTable(l3))
 	if stale := tlb.CheckCoherence(1); len(stale) != 0 {
 		t.Fatalf("equal re-walk reported stale: %v", stale)
 	}
@@ -409,5 +427,143 @@ func TestTLBOneEntryPerPage(t *testing.T) {
 	}
 	if _, _, ok := tlb.LookupLeaf(other, Stage2, 1, 0x0); !ok {
 		t.Error("the replacing root's entry misses")
+	}
+}
+
+// TestTLBFreshDepsRewalkSame is the differential test of the
+// descriptor dependencies. Over random descriptor stores into a shared
+// 4-level table, fills, TLBIs and snapshot restores, it holds two
+// things after every step:
+//   - every entry whose recorded descriptors still hold their values
+//     re-walks to the same descriptor at the same level;
+//   - CheckCoherence reports exactly the entries a full re-walk of
+//     every entry finds translating differently: the stores made
+//     without their TLBI, the unshare-skip-tlbi shape.
+func TestTLBFreshDepsRewalkSame(t *testing.T) {
+	m := NewMemory(testLayout())
+	page := func(i int) PhysAddr { return m.RAMStart() + PhysAddr(i)*PageSize }
+	// The root and two table pages at each level below it; every walk
+	// goes through slots 0 and 1 of each table it reaches.
+	tables := [][]PhysAddr{{page(0)}, {page(1), page(2)}, {page(3), page(4)}, {page(5), page(6)}}
+	root := tables[0][0]
+	rng := rand.New(rand.NewPCG(3, 4))
+	desc := func(level int) PTE {
+		switch k := rng.IntN(6); {
+		case k == 0:
+			return 0
+		case k == 1:
+			return MakeAnnotation(uint8(1 + rng.IntN(3)))
+		case level == 0 || k < 4 && level < LastLevel:
+			return MakeTable(tables[level+1][rng.IntN(2)])
+		default:
+			attrs := Attrs{Perms: Perms(1 + rng.IntN(7)), Mem: MemNormal}
+			return MakeLeaf(level, PhysAddr(uint64(1+rng.IntN(2))*LevelSize(level)), attrs)
+		}
+	}
+	store := func() {
+		level := rng.IntN(LastLevel + 1)
+		m.WritePTE(tables[level][rng.IntN(len(tables[level]))], rng.IntN(2), desc(level))
+	}
+	ia := func() uint64 {
+		var ia uint64
+		for level := StartLevel; level <= LastLevel; level++ {
+			ia |= uint64(rng.IntN(2)) << LevelShift(level)
+		}
+		return ia
+	}
+	for level, ts := range tables {
+		for _, tb := range ts {
+			for i := 0; i < 2; i++ {
+				m.WritePTE(tb, i, desc(level))
+			}
+		}
+	}
+	img := m.CaptureImage()
+	bl, ok := img.NewBaseline(m)
+	if !ok {
+		t.Fatal("baseline over the captured memory must verify")
+	}
+	var delta *MemDelta
+
+	tlb := NewTLB(m)
+	// incoherent lists, in fill order, the pages of vmid's entries
+	// that a full re-walk translates differently.
+	incoherent := func(vmid VMID) []uint64 {
+		s := tlb.find(vmid)
+		if s == nil {
+			return nil
+		}
+		var out []uint64
+		for _, e := range s.entries {
+			fresh := tlbEntry{key: e.key}
+			tlb.walk(&fresh)
+			if k := fresh.pte.Kind(fresh.level); k != EKBlock && k != EKPage ||
+				fresh.oa() != e.oa() || fresh.pte.Attrs() != e.pte.Attrs() {
+				out = append(out, e.key.page)
+			}
+		}
+		return out
+	}
+	checked, rewalked := 0, 0
+	for step := 0; step < 10000; step++ {
+		vmid := VMID(1 + rng.IntN(2))
+		switch op := rng.IntN(20); {
+		case op < 8:
+			tlbWalk(tlb, root, vmid, ia())
+		case op < 12:
+			store() // no TLBI
+		case op < 14:
+			store()
+			tlb.InvalidateVMID(nil, vmid)
+		case op < 15:
+			tlb.InvalidateIPA(nil, vmid, ia())
+		case op < 16:
+			if rng.IntN(2) == 0 {
+				bl.Restore()
+			} else {
+				bl.RestoreWith(delta)
+			}
+			tlb.InvalidateStale(nil)
+		case op < 17:
+			delta = bl.CaptureDelta()
+		case op < 18:
+			x := ia()
+			if pte, level, ok := tlb.LookupLeaf(root, Stage2, vmid, x); ok {
+				if wp, wl := WalkLeaf(m, root, x); wp != pte || wl != level {
+					t.Fatalf("step %d: LookupLeaf(%#x) = %#x level %d, tables give %#x level %d",
+						step, x, uint64(pte), level, uint64(wp), wl)
+				}
+			}
+		default:
+			want := incoherent(vmid)
+			got := tlb.CheckCoherence(vmid)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: CheckCoherence reported %d entries %v, a full re-walk finds %d (pages %#x)",
+					step, len(got), got, len(want), want)
+			}
+			for i, p := range want {
+				if !strings.Contains(got[i], fmt.Sprintf("ia %#x:", p<<PageShift)) {
+					t.Fatalf("step %d: report %d is %q, want page %#x", step, i, got[i], p)
+				}
+			}
+			rewalked += len(want)
+		}
+		for _, s := range tlb.sets {
+			for _, e := range s.entries {
+				if !e.depsFresh() {
+					continue
+				}
+				checked++
+				fresh := tlbEntry{key: e.key}
+				tlb.walk(&fresh)
+				if fresh.pte != e.pte || fresh.level != e.level {
+					t.Fatalf("step %d: fresh entry for page %#x holds %#x level %d, a re-walk gives %#x level %d",
+						step, e.key.page, uint64(e.pte), e.level, uint64(fresh.pte), fresh.level)
+				}
+			}
+		}
+	}
+	if checked == 0 || rewalked == 0 {
+		t.Fatalf("vacuous run: %d fresh entries checked, %d stale entries reported", checked, rewalked)
 	}
 }

@@ -3,6 +3,7 @@ package bugdemo
 import (
 	"testing"
 
+	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/faults"
 )
 
@@ -60,4 +61,26 @@ func TestFixedBuildStaysClean(t *testing.T) {
 			t.Errorf("%s: false alarm on fixed build: %v", demo.Bug, r.Alarms)
 		}
 	}
+}
+
+// TestUnshareSkipTLBIReportsStaleTLB: the skipped break-before-make
+// TLBI is caught by the TLB coherence check itself, as a stale-tlb
+// alarm, and not only by some later symptom.
+func TestUnshareSkipTLBIReportsStaleTLB(t *testing.T) {
+	for _, d := range Demos() {
+		if d.Bug != faults.BugUnshareSkipTLBI {
+			continue
+		}
+		r := Detect(d)
+		if r.DriveErr != nil {
+			t.Fatalf("scenario error: %v", r.DriveErr)
+		}
+		for _, a := range r.Alarms {
+			if a.Kind == ghost.FailStaleTLB {
+				return
+			}
+		}
+		t.Fatalf("no stale-tlb alarm among %v", r.Alarms)
+	}
+	t.Fatal("no demo for unshare-skip-tlbi")
 }

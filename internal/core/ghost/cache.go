@@ -17,16 +17,18 @@ import (
 // acquire and release — the dominant term of the ghost overhead the
 // paper measures in §6. But a table's meaning only changes where
 // descriptors are written, so the cache keeps, for every table page of
-// the tree, the generation it last observed (arch.Memory bumps a
-// frame's generation on every store) and a copy of the 512 descriptors
-// it last interpreted. On each hook it re-reads only the table pages
-// whose generation moved, compares them with the stored copies, and
-// re-interprets only the runs of changed descriptors, splicing each
-// run's meaning over its own input range of the cached mapping. The
-// root is one more table page: a write to it costs the same diff. A
-// cold cache, or a different root, starts from a root page whose
-// stored descriptors are all invalid, so the same diff interprets the
-// whole tree.
+// the tree, the generations it last observed (arch.Memory bumps a
+// 64-word block's and then its frame's generation on every store) and
+// a copy of the 512 descriptors it last interpreted. On each hook it
+// looks only at the table pages whose frame generation moved, re-reads
+// only their blocks whose generation moved, compares them with the
+// stored copies, and re-interprets only the runs of changed
+// descriptors, splicing each run's meaning over its own input range of
+// the cached mapping. The root is one more table page: a write to it
+// costs the same diff. A cold cache, or a different root, starts from
+// a root page whose stored descriptors are all invalid and whose
+// blocks are all marked unseen, so the same diff interprets the whole
+// tree.
 //
 // The walker here is deliberately a separate implementation from
 // InterpretPgtable: the Recorder's VerifyCache mode runs both side by
@@ -49,14 +51,15 @@ const (
 )
 
 // cachedTable is the cache's record of one table page: its frame,
-// where its generation counter lives, the generation observed before
-// the last read of its entries, the descriptors read then, and the
-// position (level, covered input-address base) it occupies in the
-// tree. A nil gen marks a free slot, which keeps its descriptor buffer
-// for the next table page cached there.
+// where its generation counter lives, the frame and block generations
+// observed before the last read of its entries, the descriptors read
+// then, and the position (level, covered input-address base) it
+// occupies in the tree. A nil gen marks a free slot, which keeps its
+// descriptor buffer for the next table page cached there.
 type cachedTable struct {
 	gen    *atomic.Uint64
 	seen   uint64
+	blocks [arch.FrameBlocks]uint64
 	descs  *arch.Frame
 	pfn    arch.PFN
 	level  int
@@ -143,11 +146,16 @@ func (c *PgtableCache) update(m *arch.Memory, root arch.PhysAddr, spliced *[]vaR
 	outcome := CachePartial
 	if !c.valid || c.root != root {
 		// A cold cache holds only the root page, every stored
-		// descriptor invalid: diffing it interprets the whole tree.
+		// descriptor invalid and every block unseen: diffing it
+		// interprets the whole tree.
 		c.tables, c.free, c.slots = nil, nil, make(map[arch.PFN]int, len(c.slots))
 		c.abs = AbstractPgtable{}
 		c.root, c.valid = root, true
-		dirty = append(dirty, c.slot(m, root, arch.StartLevel, 0))
+		s := c.slot(m, root, arch.StartLevel, 0)
+		for b := range c.tables[s].blocks {
+			c.tables[s].blocks[b] = ^uint64(0)
+		}
+		dirty = append(dirty, s)
 		outcome = CacheFull
 	} else {
 		for s := range c.tables {
@@ -189,7 +197,7 @@ func (c *PgtableCache) update(m *arch.Memory, root arch.PhysAddr, spliced *[]vaR
 		// below it), so the subtrees it walks still hold the
 		// descriptors they were built from.
 		level, vaBase := t.level, t.vaBase
-		m.DiffFrame(t.pfn.Phys(), t.descs, func(idx int, was, now arch.PTE) {
+		m.DiffBlocks(t.pfn.Phys(), &t.blocks, t.descs, func(idx int, was, now arch.PTE) {
 			if was.Kind(level) == arch.EKTable {
 				c.drop(was.TableAddr(), level+1, vaBase|uint64(idx)<<arch.LevelShift(level))
 			}
@@ -439,11 +447,12 @@ func vmCurrent(old *VMInfo, vm *hyp.VM) bool {
 }
 
 // slot caches the table page at table at the given position, with its
-// generation observed now — before the caller reads its entries into
-// the slot's descriptors — and returns the slot. Observing first pairs
-// with Memory bumping the generation after each store: a racing writer
-// can at worst make fresh data look stale (forcing a needless re-read
-// later), never stale data look fresh. Caller holds c.mu.
+// frame and block generations observed now — before the caller reads
+// its entries into the slot's descriptors — and returns the slot.
+// Observing first pairs with Memory bumping the generations after each
+// store: a racing writer can at worst make fresh data look stale
+// (forcing a needless re-read later), never stale data look fresh.
+// Caller holds c.mu.
 func (c *PgtableCache) slot(m *arch.Memory, table arch.PhysAddr, level int, vaBase uint64) int {
 	pfn := arch.PhysToPFN(table)
 	// A frame already cached elsewhere can only be reached twice
@@ -461,6 +470,7 @@ func (c *PgtableCache) slot(m *arch.Memory, table arch.PhysAddr, level int, vaBa
 	gen := m.FrameGenRef(table)
 	t := &c.tables[s]
 	*t = cachedTable{gen: gen, seen: gen.Load(), descs: t.descs, pfn: pfn, level: level, vaBase: vaBase}
+	m.BlockGens(table, &t.blocks)
 	return s
 }
 
