@@ -60,14 +60,11 @@ const (
 	tlbCapacity = 512
 )
 
-// TLB traffic. Hits and misses count hardware-path translations
-// (TLB.Walk); lookup hits are the verified software-path hits serving
-// pgtable.GetLeaf.
+// TLB traffic: hits and misses of hardware-path translations
+// (TLB.Walk). Every miss is one tlb.fill span.
 var (
-	telTLBHits        = telemetry.NewCounter("tlb_hits_total")
-	telTLBMisses      = telemetry.NewCounter("tlb_misses_total")
-	telTLBInvalidates = telemetry.NewCounter("tlb_invalidations_total")
-	telTLBLookupHits  = telemetry.NewCounter("tlb_lookup_hits_total")
+	telTLBHits   = telemetry.NewCounter("tlb_hits_total")
+	telTLBMisses = telemetry.NewCounter("tlb_misses_total")
 )
 
 // tlbKey names one cached translation within a VMID's set. A set
@@ -299,9 +296,6 @@ func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE,
 	if !ok || !s.entries[i].depsFresh() {
 		return 0, 0, false
 	}
-	if !telemetry.Disabled() {
-		telTLBLookupHits.Inc()
-	}
 	return s.entries[i].pte, s.entries[i].level, true
 }
 
@@ -362,9 +356,6 @@ func (t *TLB) InvalidateStale(p *preempt.Point) {
 // sweep keeps the entries of vmid (of every VMID when all is set) that
 // keep accepts.
 func (t *TLB) sweep(vmid VMID, all bool, keep func(*tlbEntry) bool) {
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
 	sp := t.tracer.Begin(t.lane, spanTLBInvalidate)
 	defer sp.End()
 	t.mu.Lock()

@@ -29,7 +29,6 @@ import (
 	"ghostspec/internal/proxy"
 	"ghostspec/internal/randtest"
 	"ghostspec/internal/sched"
-	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
 
@@ -237,7 +236,6 @@ type Engine struct {
 
 	workers []workerState
 	wg      sync.WaitGroup
-	done    chan struct{}
 
 	mu       sync.Mutex
 	findings []Finding
@@ -311,7 +309,6 @@ func Start(cfg Config) (*Engine, error) {
 		agg:     coverage.NewAggregator(),
 		corpus:  newCorpus(cfg.CorpusCap),
 		workers: make([]workerState, cfg.Workers),
-		done:    make(chan struct{}),
 	}
 
 	// Fail fast on unbootable configurations rather than from inside
@@ -337,20 +334,6 @@ func Start(cfg Config) (*Engine, error) {
 	}
 
 	e.start = time.Now()
-	meter := telemetry.NewMeter(telExecRate)
-	meter.Tick(e.start, telExecs.Value())
-	go func() {
-		tick := time.NewTicker(250 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-e.done:
-				return
-			case now := <-tick.C:
-				meter.Tick(now, telExecs.Value())
-			}
-		}
-	}()
 
 	for w := 0; w < cfg.Workers; w++ {
 		e.workers[w].lastActive.Store(e.start.UnixNano())
@@ -366,7 +349,6 @@ func Start(cfg Config) (*Engine, error) {
 // Wait blocks until the campaign stops and assembles the final report.
 func (e *Engine) Wait() (*Report, error) {
 	e.wg.Wait()
-	close(e.done)
 
 	if e.bootErr != nil {
 		return nil, e.bootErr
@@ -617,7 +599,6 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 		}
 	}
 	exec := e.execs.Add(1)
-	telExecs.Inc()
 
 	// Presize for the parent plus this run's steps: a guided step
 	// records ~1.25 ops (498.5 per 400 steps over 20 seeds), and
@@ -631,7 +612,6 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 			e.replayParent(w, d, in.parent)
 			if ws != nil {
 				e.workers[w].snapFallbacks.Add(1)
-				telSnapFallback.Inc()
 				// The state just rebuilt is exactly the parent's end
 				// state — capture it once so later forks of this entry
 				// (injected seeds arrive snapshot-less) restore
@@ -675,7 +655,6 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 		}
 		return
 	}
-	telFindings.Inc()
 	min, minFailures, replays, ok := e.shrinkOne(w, tr, ws)
 	f := Finding{
 		Worker: w, Exec: exec,
@@ -719,7 +698,6 @@ func (e *Engine) absorbCoverage(w int, cov *coverage.Tracker, tr *randtest.Trace
 	defer sp.End()
 	if novelty := e.agg.Absorb(cov); novelty > 0 {
 		e.novel.Add(1)
-		telNovel.Inc()
 		var snap *parentSnap
 		if ws != nil {
 			snap = e.captureParent(w, ws)

@@ -51,7 +51,6 @@ func (c *corpus) add(tr *randtest.Trace, score float64, snap *parentSnap) {
 		c.entries[low] = c.entries[len(c.entries)-1]
 		c.entries = c.entries[:len(c.entries)-1]
 	}
-	telCorpusSize.Set(int64(len(c.entries)))
 }
 
 // backfill attaches an end-state snapshot to a snapshot-less entry
@@ -71,7 +70,6 @@ func (c *corpus) backfill(tr *randtest.Trace, snap *parentSnap) {
 		if c.entries[i].trace == tr {
 			if c.entries[i].snap == nil {
 				c.entries[i].snap = snap
-				telSnapBackfill.Inc()
 			}
 			return
 		}

@@ -142,9 +142,7 @@ func index(s, sub string) int {
 }
 
 // TestSchedFuzzCampaignSmoke runs a short schedule-fuzzing campaign on
-// a clean hypervisor: no findings, and the engine must have executed
-// scheduled replays (visible through the sched_preemptions counter
-// moving — asserted indirectly via a finding-free run completing).
+// a clean hypervisor: it completes with execs and no findings.
 func TestSchedFuzzCampaignSmoke(t *testing.T) {
 	rep, err := Run(Config{
 		Workers:     2,

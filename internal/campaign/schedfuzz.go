@@ -69,7 +69,6 @@ func (e *Engine) schedFuzzOne(w int, in input, tr *randtest.Trace, ws *worksys, 
 		return
 	}
 
-	telFindings.Inc()
 	min, minSched, minFailures, replays, ok := e.shrinkSchedOne(w, tr, schedSeed, ws)
 	f := Finding{
 		Worker: w, Exec: exec,

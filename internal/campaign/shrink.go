@@ -33,7 +33,6 @@ func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, 
 			return false
 		}
 		replays++
-		telShrinkReplays.Inc()
 		d, rec, err := boot()
 		if err != nil {
 			return false
@@ -121,7 +120,6 @@ func ShrinkScheduled(boot Factory, tr *randtest.Trace, schedSeed int64, nrCPUs, 
 			return false
 		}
 		replays++
-		telShrinkReplays.Inc()
 		d, rec, err := boot()
 		if err != nil {
 			return false

@@ -115,8 +115,6 @@ func (e *Engine) restoreTo(w int, ws *worksys, snap *parentSnap) int {
 	}
 	e.workers[w].snapRestores.Add(1)
 	e.workers[w].snapDirtyFrames.Add(int64(dirty))
-	telSnapRestores.Inc()
-	telSnapDirty.Add(uint64(dirty))
 	return dirty
 }
 

@@ -226,9 +226,6 @@ func (c *PgtableCache) update(m *arch.Memory, root arch.PhysAddr, spliced *[]vaR
 	}
 
 	c.stats.PagesWalked += uint64(pages)
-	if !telemetry.Disabled() {
-		ghostCachePages.Add(uint64(pages))
-	}
 	switch {
 	case outcome == CacheFull:
 		c.stats.FullWalks++

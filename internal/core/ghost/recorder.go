@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
@@ -366,7 +365,6 @@ func (r *Recorder) fail(f Failure) {
 	// The exit locals belong to the CPU's reused recording buffers.
 	f.Call.exitLocals = nil
 	if !telemetry.Disabled() {
-		failureCounter(f.Kind).Inc()
 		// Forensics: attach the failing CPU's recent trap history. The
 		// flight record of the current trap is written before TrapExit
 		// runs the oracle, so the dump ends with the failing trap.
@@ -833,9 +831,6 @@ func (r *Recorder) TrapExit(cpu int) {
 
 	if !telemetry.Disabled() {
 		ghostChecks.Inc()
-		defer func(start time.Time) {
-			ghostCheckLat.ObserveDuration(time.Since(start))
-		}(time.Now())
 	}
 
 	// Phased hypercalls get the transactional per-session check
@@ -875,13 +870,9 @@ func (r *Recorder) TrapExit(cpu int) {
 	r.markPassed()
 }
 
-// markPassed bumps both the recorder's own stats and the telemetry
-// counter for a clean oracle comparison.
+// markPassed counts a clean oracle comparison.
 func (r *Recorder) markPassed() {
 	r.mu.Lock()
 	r.stats.Passed++
 	r.mu.Unlock()
-	if !telemetry.Disabled() {
-		ghostChecksPassed.Inc()
-	}
 }

@@ -20,9 +20,6 @@ func newTableFromDonation(hv *Hypervisor, vm *VM) (*pgtable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One aggregate gauge across all guests: per-handle labels would
-	// grow the registry without bound as VMs come and go.
-	pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 	pgt.SetTLBI(hv.guestTLBI(vm.VMID))
 	pgt.SetTLB(hv.tlb, vm.VMID)
 	hv.instrument(pgt)

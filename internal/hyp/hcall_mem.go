@@ -246,19 +246,16 @@ func (hv *Hypervisor) handleHostMemAbort(cpu int) {
 		if hv.Inj.Enabled(faults.BugHostFaultRetry) {
 			hv.hypPanic(cpu, "host abort: entry for %#x already valid", uint64(ipa))
 		}
-		abortSpurious.Inc()
 		return
 	case own.owner != 0:
 		// Not the host's memory: reflect the fault into the host.
 		pc.LastAbortInjected = true
-		abortReflected.Inc()
 		return
 	}
 
 	pa := arch.PhysAddr(ipa)
 	if !hv.Mem.InRAM(pa) && !hv.Mem.InMMIO(pa) {
 		pc.LastAbortInjected = true
-		abortReflected.Inc()
 		return
 	}
 
@@ -281,12 +278,10 @@ func (hv *Hypervisor) handleHostMemAbort(cpu int) {
 			if ret := hv.hostIDMap(arch.IPA(base), size, state); ret != OK {
 				hv.hypPanic(cpu, "host abort: block idmap failed: %v", ret)
 			}
-			abortDemandMapped.Inc()
 			return
 		}
 	}
 	if ret := hv.hostIDMap(ipa, arch.PageSize, state); ret != OK {
 		hv.hypPanic(cpu, "host abort: idmap failed: %v", ret)
 	}
-	abortDemandMapped.Inc()
 }

@@ -248,7 +248,6 @@ func (hv *Hypervisor) initHypS1() error {
 	if err != nil {
 		return err
 	}
-	pgt.SetOnTablePage(liveTableGauge(telHypTablesLive))
 	pgt.SetTLBI(hv.hypTLBI)
 	pgt.SetTLB(hv.tlb, VMIDHyp)
 	hv.instrument(pgt)
@@ -292,7 +291,6 @@ func (hv *Hypervisor) initHostS2() error {
 	if err != nil {
 		return err
 	}
-	pgt.SetOnTablePage(liveTableGauge(telHostTablesLive))
 	pgt.SetTLBI(hv.hostTLBI)
 	pgt.SetTLB(hv.tlb, VMIDHost)
 	hv.instrument(pgt)

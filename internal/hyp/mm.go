@@ -6,7 +6,6 @@ import (
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/pgtable"
-	"ghostspec/internal/telemetry"
 )
 
 // pageOwnership is the hypervisor's decoded view of who holds a page
@@ -41,9 +40,6 @@ func hostOwnership(pte arch.PTE, level int) pageOwnership {
 //
 //ghost:requires lock=host
 func (hv *Hypervisor) hostCheckState(ipa arch.IPA, size uint64, want arch.PageState) Errno {
-	if !telemetry.Disabled() {
-		stateChecks.Inc()
-	}
 	err := hv.hostPGT.Walk(uint64(ipa), size, &pgtable.Visitor{
 		Flags: pgtable.VisitLeaf,
 		Fn: func(ctx *pgtable.VisitCtx) error {
@@ -111,9 +107,6 @@ func (hv *Hypervisor) hostSetOwner(ipa arch.IPA, size uint64, owner uint8) Errno
 //
 //ghost:requires lock=hyp
 func (hv *Hypervisor) hypCheckUnmapped(va arch.VirtAddr, size uint64) Errno {
-	if !telemetry.Disabled() {
-		stateChecks.Inc()
-	}
 	err := hv.hypPGT.Walk(uint64(va), size, &pgtable.Visitor{
 		Flags: pgtable.VisitLeaf,
 		Fn: func(ctx *pgtable.VisitCtx) error {
@@ -137,9 +130,6 @@ func (hv *Hypervisor) hypCheckUnmapped(va arch.VirtAddr, size uint64) Errno {
 //
 //ghost:requires lock=hyp
 func (hv *Hypervisor) hypCheckState(va arch.VirtAddr, size uint64, want arch.PageState) Errno {
-	if !telemetry.Disabled() {
-		stateChecks.Inc()
-	}
 	err := hv.hypPGT.Walk(uint64(va), size, &pgtable.Visitor{
 		Flags: pgtable.VisitLeaf,
 		Fn: func(ctx *pgtable.VisitCtx) error {
@@ -180,9 +170,6 @@ func errnoOf(err error) Errno {
 //
 //ghost:requires lock=host
 func (hv *Hypervisor) readOnceHost(cpu int, pa arch.PhysAddr) uint64 {
-	if !telemetry.Disabled() {
-		readOnces.Inc()
-	}
 	v := hv.Mem.Read64(pa)
 	hv.instr.ReadOnce(cpu, pa, v)
 	return v
@@ -199,9 +186,6 @@ func (hv *Hypervisor) clearPage(addr arch.PhysAddr) {
 // hypPanic raises an internal hypervisor panic: unrecoverable on real
 // hardware, recovered by HandleTrap for the test harness.
 func (hv *Hypervisor) hypPanic(cpu int, format string, args ...any) {
-	if !telemetry.Disabled() {
-		hypPanics.Inc()
-	}
 	msg := fmt.Sprintf(format, args...)
 	hv.instr.HypPanic(cpu, msg)
 	panic(&PanicError{CPU: cpu, Msg: msg})

@@ -7,7 +7,6 @@ import (
 	"ghostspec/internal/mem"
 	"ghostspec/internal/pgtable"
 	"ghostspec/internal/spinlock"
-	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
 
@@ -138,22 +137,6 @@ func (b *Base) RestoreDelta(d *Delta) int { return b.restore(d) }
 func (b *Base) restore(d *Delta) int {
 	hv := b.hv
 
-	// Table-page gauges: the live sets of the persistent host/hyp
-	// tables are about to change under them, and the guest tables are
-	// about to be dropped wholesale. Count before, fix up after.
-	var hostBefore, hypBefore int
-	if !telemetry.Disabled() {
-		hostBefore = len(hv.hostPGT.TablePages())
-		hypBefore = len(hv.hypPGT.TablePages())
-		guestPages := 0
-		for _, vm := range hv.vms {
-			if vm != nil && vm.PGT != nil {
-				guestPages += len(vm.PGT.TablePages())
-			}
-		}
-		telGuestTablesLive.Add(-int64(guestPages))
-	}
-
 	// Memory: the copy-on-write core — rewrite only frames whose
 	// write generation moved since they last matched the target.
 	sp := hv.tracer.Begin(hv.traceLane, spanSnapCowFault)
@@ -171,11 +154,6 @@ func (b *Base) restore(d *Delta) int {
 		st = d.state
 	}
 	hv.restoreState(st)
-
-	if !telemetry.Disabled() {
-		telHostTablesLive.Add(int64(len(hv.hostPGT.TablePages()) - hostBefore))
-		telHypTablesLive.Add(int64(len(hv.hypPGT.TablePages()) - hypBefore))
-	}
 
 	// Every rewritten frame bumped its generation, so one stale-deps
 	// sweep drops exactly the TLB entries the restore invalidated.
@@ -281,7 +259,6 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 		if vs.root != 0 {
 			pgt := pgtable.Attach("guest_s2:"+vm.Handle.String(), hv.Mem,
 				arch.Stage2, nil, arch.LastLevel, vs.root)
-			pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 			pgt.SetTLBI(hv.guestTLBI(vm.VMID))
 			pgt.SetTLB(hv.tlb, vm.VMID)
 			hv.instrument(pgt)

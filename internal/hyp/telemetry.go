@@ -13,17 +13,11 @@ import (
 // path performs atomic adds only, behind the global telemetry.Disabled
 // gate.
 
-// nrHCs is one past the largest hypercall ID, for per-HC counter
-// arrays.
+// nrHCs is one past the largest hypercall ID, for the per-call span
+// names.
 const nrHCs = int(HCHostShareHypRange) + 1
 
 var (
-	// hcCalls counts dispatches per hypercall, labelled with the
-	// symbolic call name.
-	hcCalls [nrHCs]*telemetry.Counter
-	// hcUnknown counts ENOSYS dispatches of out-of-range IDs.
-	hcUnknown *telemetry.Counter
-
 	// trapLatency is the end-to-end handler latency per exit reason
 	// (hypercall entry to exit, excluding the ghost hooks' own oracle
 	// check, which ghost reports separately).
@@ -31,26 +25,12 @@ var (
 	trapLatAbort = telemetry.NewHistogram(`hyp_trap_latency_ns{reason="mem-abort"}`)
 	trapLatIRQ   = telemetry.NewHistogram(`hyp_trap_latency_ns{reason="irq"}`)
 
-	trapsTotal  = telemetry.NewCounter("hyp_traps_total")
-	hypPanics   = telemetry.NewCounter("hyp_panics_total")
-	readOnces   = telemetry.NewCounter("hyp_read_once_total")
-	stateChecks = telemetry.NewCounter("hyp_state_check_walks_total")
-
-	// Host stage 2 abort outcomes.
-	abortDemandMapped = telemetry.NewCounter(`hyp_host_aborts_total{outcome="demand-mapped"}`)
-	abortReflected    = telemetry.NewCounter(`hyp_host_aborts_total{outcome="reflected"}`)
-	abortSpurious     = telemetry.NewCounter(`hyp_host_aborts_total{outcome="spurious"}`)
-
-	// Live table pages per translation table, fed by the pgtable
-	// allocation notifications. Guests share one aggregate gauge.
-	telHypTablesLive   = telemetry.NewGauge(`pgtable_table_pages_live{table="hyp_s1"}`)
-	telHostTablesLive  = telemetry.NewGauge(`pgtable_table_pages_live{table="host_s2"}`)
-	telGuestTablesLive = telemetry.NewGauge(`pgtable_table_pages_live{table="guest_s2"}`)
+	trapsTotal = telemetry.NewCounter("hyp_traps_total")
 )
 
 // Per-dispatch trap span names: one per hypercall (so the span
 // aggregate attributes cost per call, not just per trap) plus the two
-// non-HVC exit reasons. Filled alongside the per-HC counters in init.
+// non-HVC exit reasons. Filled in init.
 var (
 	spanTrapHVC     [nrHCs]trace.Name
 	spanTrapUnknown trace.Name
@@ -58,27 +38,10 @@ var (
 	spanTrapIRQ     = trace.NewName("hyp.trap:irq")
 )
 
-// liveTableGauge adapts a gauge to the pgtable table-page notification
-// callback.
-func liveTableGauge(g *telemetry.Gauge) func(arch.PFN, bool) {
-	return func(_ arch.PFN, alloc bool) {
-		if telemetry.Disabled() {
-			return
-		}
-		if alloc {
-			g.Add(1)
-		} else {
-			g.Add(-1)
-		}
-	}
-}
-
 func init() {
 	for id := HC(1); int(id) < nrHCs; id++ {
-		hcCalls[id] = telemetry.NewCounter(`hyp_hypercall_calls_total{call="` + id.String() + `"}`)
 		spanTrapHVC[id] = trace.NewName("hyp.trap:" + id.String())
 	}
-	hcUnknown = telemetry.NewCounter(`hyp_hypercall_calls_total{call="` + HC(0).String() + `"}`)
 	spanTrapUnknown = trace.NewName("hyp.trap:" + HC(0).String())
 }
 
@@ -96,25 +59,6 @@ func (hv *Hypervisor) trapSpanName(cpu int, reason arch.ExitReason) trace.Name {
 		return spanTrapAbort
 	}
 	return spanTrapIRQ
-}
-
-// hcCounter returns the per-call counter for a (possibly out of range)
-// hypercall ID.
-func hcCounter(id HC) *telemetry.Counter {
-	if id >= 1 && int(id) < nrHCs {
-		return hcCalls[id]
-	}
-	return hcUnknown
-}
-
-// hcErrorCounter returns (creating on first use) the error counter for
-// one (hypercall, errno) pair, labelled with both symbolic names. The
-// error path is cold, so the name concatenation here is acceptable;
-// the registry dedupes, so each pair allocates once per process.
-func hcErrorCounter(id HC, e Errno) *telemetry.Counter {
-	//ghostlint:ignore telemetrycheck cold error path; the registry dedupes, so each (call,errno) pair registers once per process
-	return telemetry.NewCounter(
-		`hyp_hypercall_errors_total{call="` + id.String() + `",errno="` + e.String() + `"}`)
 }
 
 // hcRetString renders a hypercall return value symbolically: errno
@@ -173,10 +117,9 @@ func (t *trapTelemetry) begin(hv *Hypervisor, cpu int, reason arch.ExitReason) {
 	}
 }
 
-// finish observes the latency, bumps the per-call and error counters,
-// and records the trap into the flight recorder. panicked marks a trap
-// that died in a hypervisor panic (its return registers were never
-// written).
+// finish observes the latency, counts the trap, and records it into
+// the flight recorder. panicked marks a trap that died in a hypervisor
+// panic (its return registers were never written).
 func (t *trapTelemetry) finish(hv *Hypervisor, cpu int, reason arch.ExitReason, panicked bool) {
 	if !t.on {
 		return
@@ -186,16 +129,12 @@ func (t *trapTelemetry) finish(hv *Hypervisor, cpu int, reason arch.ExitReason, 
 	switch reason {
 	case arch.ExitHVC:
 		trapLatHVC.ObserveDuration(t.ev.Dur)
-		hcCounter(t.hc).Inc()
 		if panicked {
 			t.ev.RetStr = "hyp-panic"
 		} else {
 			ret := int64(hv.CPUs[cpu].HostRegs[1])
 			t.ev.Ret = ret
 			t.ev.RetStr = hcRetString(t.hc, ret)
-			if ret < 0 {
-				hcErrorCounter(t.hc, Errno(ret)).Inc()
-			}
 		}
 	case arch.ExitMemAbort:
 		trapLatAbort.ObserveDuration(t.ev.Dur)

@@ -5,15 +5,6 @@ import (
 	"sync"
 
 	"ghostspec/internal/arch"
-	"ghostspec/internal/telemetry"
-)
-
-// Memcache fill/empty traffic, across all memcaches in the process.
-var (
-	mcPushes = telemetry.NewCounter("memcache_push_total")
-	mcPops   = telemetry.NewCounter("memcache_pop_total")
-	mcEmpty  = telemetry.NewCounter("memcache_empty_total")
-	mcPages  = telemetry.NewGauge("memcache_pages")
 )
 
 // MemcacheCap is the maximum number of pages a single topup may
@@ -42,10 +33,6 @@ func (mc *Memcache) Push(pfn arch.PFN) {
 	mc.mu.Lock()
 	mc.pages = append(mc.pages, pfn)
 	mc.mu.Unlock()
-	if !telemetry.Disabled() {
-		mcPushes.Inc()
-		mcPages.Add(1)
-	}
 }
 
 // Pop removes and returns the most recently donated frame. It returns
@@ -55,17 +42,10 @@ func (mc *Memcache) Pop() (arch.PFN, bool) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if len(mc.pages) == 0 {
-		if !telemetry.Disabled() {
-			mcEmpty.Inc()
-		}
 		return 0, false
 	}
 	pfn := mc.pages[len(mc.pages)-1]
 	mc.pages = mc.pages[:len(mc.pages)-1]
-	if !telemetry.Disabled() {
-		mcPops.Inc()
-		mcPages.Add(-1)
-	}
 	return pfn, true
 }
 
@@ -101,22 +81,16 @@ func (mc *Memcache) Drain() []arch.PFN {
 	defer mc.mu.Unlock()
 	out := mc.pages
 	mc.pages = nil
-	if !telemetry.Disabled() {
-		mcPages.Add(-int64(len(out)))
-	}
 	return out
 }
 
 // SetPages replaces the memcache's contents with a copy of pages
-// (bottom of the stack first, matching Pages), keeping the
-// memcache_pages gauge consistent. This is the snapshot-restore entry
+// (bottom of the stack first, matching Pages). This is the
+// snapshot-restore entry
 // point: a restored vCPU gets its captured reserve back without
 // replaying the push/pop history.
 func (mc *Memcache) SetPages(pages []arch.PFN) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	if !telemetry.Disabled() {
-		mcPages.Add(int64(len(pages)) - int64(len(mc.pages)))
-	}
 	mc.pages = append(mc.pages[:0], pages...)
 }

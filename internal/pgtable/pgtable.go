@@ -17,27 +17,13 @@ import (
 
 	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
-	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
 
 // spanMutate covers one top-level mutation walk; the span does not
-// distinguish map/unmap/annotate (the counters already do) — on the
-// timeline what matters is pgtable time as a phase.
+// distinguish map/unmap/annotate — on the timeline what matters is
+// pgtable time as a phase.
 var spanMutate = trace.NewName("pgtable.mutate")
-
-// Walker and mutation traffic, across all tables in the process. The
-// walk-depth histogram observes the terminal level of each lookup —
-// deep walks mean fragmented tables.
-var (
-	telWalks      = telemetry.NewCounter("pgtable_walks_total")
-	telMaps       = telemetry.NewCounter("pgtable_map_total")
-	telUnmaps     = telemetry.NewCounter("pgtable_unmap_total")
-	telAnnotates  = telemetry.NewCounter("pgtable_annotate_total")
-	telPagesAlloc = telemetry.NewCounter("pgtable_table_pages_allocated_total")
-	telPagesFreed = telemetry.NewCounter("pgtable_table_pages_freed_total")
-	telWalkDepth  = telemetry.NewHistogram("pgtable_walk_depth")
-)
 
 // Sentinel errors, mirroring the kernel's errno discipline.
 var (
@@ -81,10 +67,6 @@ type Table struct {
 	//ghost:guards lock=owner
 	root arch.PhysAddr
 
-	// onTablePage, when set, observes every table-page allocation and
-	// free; see SetOnTablePage.
-	onTablePage func(pfn arch.PFN, alloc bool)
-
 	// tlbi, when set, receives one TLB-invalidate notification per
 	// break-before-make sequence; see SetTLBI.
 	tlbi func(p *preempt.Point, ia, size uint64)
@@ -99,28 +81,6 @@ type Table struct {
 	tracer *trace.Tracer
 	lane   int
 	dom    *preempt.Domain // see SetDomain
-}
-
-// SetOnTablePage installs a callback notified after every table-page
-// allocation (alloc true) and free (alloc false) this table performs.
-// Installing replays the current tree — one allocation notification
-// per live table page, the root included — so a subscriber attaching
-// after New still observes the complete live set. Used by the
-// hypervisor to keep per-table live-page gauges without rescanning.
-func (t *Table) SetOnTablePage(cb func(pfn arch.PFN, alloc bool)) {
-	t.onTablePage = cb
-	if cb != nil {
-		for _, pfn := range t.TablePages() {
-			cb(pfn, true)
-		}
-	}
-}
-
-// notifyTablePage reports one allocation or free to the subscriber.
-func (t *Table) notifyTablePage(pfn arch.PFN, alloc bool) {
-	if t.onTablePage != nil {
-		t.onTablePage(pfn, alloc)
-	}
 }
 
 // SetTLBI installs the TLB-invalidate callback. The mutation paths
@@ -163,9 +123,6 @@ func New(name string, m *arch.Memory, stage arch.Stage, alloc Allocator, maxBloc
 	pfn, ok := alloc.AllocTablePage()
 	if !ok {
 		return nil, fmt.Errorf("%s root: %w", name, ErrNoMem)
-	}
-	if !telemetry.Disabled() {
-		telPagesAlloc.Inc()
 	}
 	m.ZeroPage(pfn.Phys())
 	t.root = pfn.Phys()
@@ -261,9 +218,6 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	if err := checkRange(ia, size); err != nil {
 		return err
 	}
-	if !telemetry.Disabled() {
-		telWalks.Inc()
-	}
 	return t.walkLevel(t.root, arch.StartLevel, ia, ia+size, v)
 }
 
@@ -344,9 +298,6 @@ func (t *Table) GetLeaf(ia uint64) (arch.PTE, int) {
 	if !ok {
 		pte, level = arch.WalkLeaf(t.Mem, t.root, ia)
 	}
-	if !telemetry.Disabled() {
-		telWalkDepth.Observe(uint64(level))
-	}
 	return pte, level
 }
 
@@ -368,9 +319,6 @@ func (t *Table) Map(ia, size uint64, pa arch.PhysAddr, attrs arch.Attrs, force b
 	}
 	if !arch.PageAligned(uint64(pa)) {
 		return ErrRange
-	}
-	if !telemetry.Disabled() {
-		telMaps.Inc()
 	}
 	sp := t.tracer.Begin(t.lane, spanMutate)
 	defer sp.End()
@@ -396,9 +344,6 @@ func (t *Table) Unmap(ia, size uint64) error {
 	if err := checkRange(ia, size); err != nil {
 		return err
 	}
-	if !telemetry.Disabled() {
-		telUnmaps.Inc()
-	}
 	sp := t.tracer.Begin(t.lane, spanMutate)
 	defer sp.End()
 	return t.mutateRange(t.root, arch.StartLevel, ia, ia+size, mutateOpts{force: true, skipInvalid: true},
@@ -415,9 +360,6 @@ func (t *Table) Unmap(ia, size uint64) error {
 func (t *Table) Annotate(ia, size uint64, owner uint8) error {
 	if err := checkRange(ia, size); err != nil {
 		return err
-	}
-	if !telemetry.Disabled() {
-		telAnnotates.Inc()
 	}
 	sp := t.tracer.Begin(t.lane, spanMutate)
 	defer sp.End()
@@ -543,10 +485,6 @@ func (t *Table) mutateRange(table arch.PhysAddr, level int, ia, end uint64, opts
 		if opts.skipInvalid && tableEmpty(t.Mem, next) {
 			t.Mem.WritePTE(table, idx, 0)
 			t.Alloc.FreeTablePage(arch.PhysToPFN(next))
-			t.notifyTablePage(arch.PhysToPFN(next), false)
-			if !telemetry.Disabled() {
-				telPagesFreed.Inc()
-			}
 		}
 		ia = chunkEnd
 	}
@@ -571,10 +509,6 @@ func (t *Table) newTable(table arch.PhysAddr, idx int, old arch.PTE, level int) 
 	pfn, ok := t.Alloc.AllocTablePage()
 	if !ok {
 		return 0, fmt.Errorf("%s level %d: %w", t.Name, level+1, ErrNoMem)
-	}
-	t.notifyTablePage(pfn, true)
-	if !telemetry.Disabled() {
-		telPagesAlloc.Inc()
 	}
 	pa := pfn.Phys()
 	t.Mem.ZeroPage(pa)
@@ -607,10 +541,6 @@ func (t *Table) freeSubtree(pte arch.PTE, level int) {
 		t.freeSubtree(t.Mem.ReadPTE(pa, i), level+1)
 	}
 	t.Alloc.FreeTablePage(arch.PhysToPFN(pa))
-	t.notifyTablePage(arch.PhysToPFN(pa), false)
-	if !telemetry.Disabled() {
-		telPagesFreed.Inc()
-	}
 }
 
 // Destroy frees every table page including the root, leaving the
@@ -625,8 +555,7 @@ func (t *Table) Destroy() {
 // TablePages returns the physical frames currently used by the
 // table's own tree (root and interior pages) — the footprint the
 // ghost separation check monitors. Callers on a live table hold the
-// owner's lock; the other callers (snapshot capture, boot-time
-// subscriber replay) run on a quiescent system.
+// owner's lock; the other callers run on a quiescent system.
 //
 //ghostlint:ignore guardcheck quiescent-or-locked callers per the contract above
 func (t *Table) TablePages() []arch.PFN {

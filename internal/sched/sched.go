@@ -8,6 +8,7 @@ import (
 
 	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/spinlock"
+	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
 
@@ -249,7 +250,9 @@ func (s *Scheduler) park(id int, point uint64) {
 	c.state = stateParked
 	c.point = point
 	s.preemptions++
-	telPreemptions.Inc()
+	if !telemetry.Disabled() {
+		telPreemptions.Inc()
+	}
 	start := s.now()
 	s.decideLocked()
 	s.mu.Unlock()
@@ -307,7 +310,9 @@ func (s *Scheduler) LockContended(l *spinlock.Lock) bool {
 	c.point = preempt.PointLockWait
 	c.blocked = l
 	s.preemptions++
-	telPreemptions.Inc()
+	if !telemetry.Disabled() {
+		telPreemptions.Inc()
+	}
 	start := s.now()
 	s.decideLocked()
 	if s.abandoned {

@@ -7,7 +7,9 @@ import (
 
 // Process-global scheduling telemetry, alongside the per-Scheduler
 // deterministic count (Scheduler.Preemptions): how often vCPUs parked,
-// across all concurrent schedulers.
+// across all concurrent schedulers. Each park is one sched.preempt
+// span, except a lock block that LockContended undoes because it
+// completed a deadlock: that one is counted but never parks.
 var telPreemptions = telemetry.NewCounter("sched_preemptions")
 
 // spanPreempt covers one parked interval on the scheduler's trace

@@ -61,11 +61,6 @@ type Lock struct {
 	component string
 	hooks     *Hooks
 
-	// acquires/contended count lock traffic per component; nil on a
-	// zero-value (unnamed) lock, which stays uninstrumented.
-	acquires  *telemetry.Counter
-	contended *telemetry.Counter
-
 	// held tracks lock state for sanity checking; it is only written
 	// under mu.
 	//ghost:guards lock=self
@@ -91,8 +86,6 @@ func New(component string, hooks *Hooks) *Lock {
 	return &Lock{
 		component: component,
 		hooks:     hooks,
-		acquires:  telemetry.NewCounter(`spinlock_acquisitions_total{lock="` + component + `"}`),
-		contended: telemetry.NewCounter(`spinlock_contended_total{lock="` + component + `"}`),
 		waitSpan:  trace.NewName("lock.wait:" + component),
 	}
 }
@@ -152,14 +145,11 @@ func (l *Lock) lock(p *preempt.Point) {
 		noteAcquire(l)
 	}
 	l.dom.Fire(p)
-	if l.acquires == nil || telemetry.Disabled() {
-		if !l.mu.TryLock() {
+	if !l.mu.TryLock() {
+		// A zero-value (unnamed) lock stays uninstrumented.
+		if l.component == "" || telemetry.Disabled() {
 			l.lockContended()
-		}
-	} else {
-		l.acquires.Inc()
-		if !l.mu.TryLock() {
-			l.contended.Inc()
+		} else {
 			start := time.Now()
 			l.lockContended()
 			wait := time.Since(start)

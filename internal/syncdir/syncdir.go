@@ -37,14 +37,6 @@ import (
 	"ghostspec/internal/campaign"
 	"ghostspec/internal/coverage"
 	"ghostspec/internal/randtest"
-	"ghostspec/internal/telemetry"
-)
-
-// Sync telemetry, registered at package init (telemetrycheck scope).
-var (
-	telImported  = telemetry.NewCounter("sync_corpus_imported_total")
-	telWritten   = telemetry.NewCounter("sync_files_written_total")
-	telDuplicate = telemetry.NewCounter("sync_findings_duplicate_total")
 )
 
 // shape is the campaign shape every worker of a directory shares, so
@@ -262,7 +254,6 @@ func (w *Worker) importFile(path string) {
 	}
 	w.mu.Unlock()
 	if !known {
-		telImported.Inc()
 		w.eng.InjectSeed(tr, score)
 	}
 }
@@ -293,7 +284,6 @@ func (w *Worker) writeCorpus(tr *randtest.Trace, score float64) {
 	w.mu.Lock()
 	w.st.CorpusWritten++
 	w.mu.Unlock()
-	telWritten.Inc()
 }
 
 // writeFinding is the engine's OnFinding hook: the first worker to
@@ -319,9 +309,6 @@ func (w *Worker) writeFinding(f campaign.Finding) {
 		if err := writeAtomic(base+".txt", []byte(text)); err != nil {
 			w.logf("sync: finding repro lost: %v", err)
 		}
-		telWritten.Inc()
-	} else {
-		telDuplicate.Inc()
 	}
 	w.mu.Lock()
 	w.st.FindingsReported++

@@ -6,11 +6,11 @@
 // The paper's methodology depends on being able to see what the
 // production hypervisor did; its authors bolted printing and diffing
 // machinery onto pKVM for exactly this reason. This package is that
-// machinery made systematic: every hot path of the simulated stack
-// (trap dispatch, spinlocks, page-table walks, memcache traffic, the
-// oracle itself) reports here, and an oracle alarm carries the flight
-// recorder's history of the trapping CPU instead of a single
-// (pre, post) pair.
+// machinery made systematic: trap dispatch, spinlock contention, the
+// TLB, the scheduler and the oracle itself report here, each metric
+// kept only because a test, a benchmark or a CLI summary reads it,
+// and an oracle alarm carries the flight recorder's history of the
+// trapping CPU instead of a single (pre, post) pair.
 //
 // Instrumentation is globally gated: when Disabled() reports true,
 // every instrumentation site reduces to one atomic load and a branch
@@ -144,7 +144,7 @@ var Default = NewRegistry()
 
 // Counter returns the counter registered under name, creating it on
 // first use. Names follow the Prometheus convention, with labels
-// inline: `hyp_hypercall_calls_total{call="host_share_hyp"}`.
+// inline: `hyp_trap_latency_ns{reason="hvc"}`.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
