@@ -215,10 +215,8 @@ func (hv *Hypervisor) captureState() *sysState {
 
 // restoreState installs a captured value state. Guest page tables are
 // re-attached at their recorded roots and rewired exactly like
-// newTableFromDonation wires a fresh one; installing the table-page
-// gauge callback replays the (restored) tree, so the guest gauge comes
-// back consistent without rescanning. Quiescent-system contract as in
-// restore.
+// newTableFromDonation wires a fresh one. Quiescent-system contract as
+// in restore.
 //
 //ghostlint:ignore guardcheck quiescent system: restore runs between executions with no concurrent hypercalls
 func (hv *Hypervisor) restoreState(st *sysState) {

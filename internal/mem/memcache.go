@@ -86,9 +86,8 @@ func (mc *Memcache) Drain() []arch.PFN {
 
 // SetPages replaces the memcache's contents with a copy of pages
 // (bottom of the stack first, matching Pages). This is the
-// snapshot-restore entry
-// point: a restored vCPU gets its captured reserve back without
-// replaying the push/pop history.
+// snapshot-restore entry point: a restored vCPU gets its captured
+// reserve back without replaying the push/pop history.
 func (mc *Memcache) SetPages(pages []arch.PFN) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 	"ghostspec/internal/hyp"
 	"ghostspec/internal/telemetry"
 
-	// Every package that is or was instrumented, so that each one's
-	// package-level registrations run in this binary.
+	// The packages of the simulated stack and its campaign tooling, so
+	// that each one's package-level registrations run in this binary.
 	_ "ghostspec/internal/arch"
 	_ "ghostspec/internal/campaign"
 	_ "ghostspec/internal/core/ghost"
