@@ -3,6 +3,7 @@ package spinlock
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestHookOrderAndComponent(t *testing.T) {
@@ -73,5 +74,42 @@ func TestNilHooks(t *testing.T) {
 	}
 	if l.Component() != "hyp" {
 		t.Error("component name lost")
+	}
+}
+
+// contend holds l for hold while another goroutine tries to take it.
+func contend(l *Lock, hold time.Duration) {
+	l.Lock()
+	done := make(chan struct{})
+	go func() {
+		l.Lock()
+		l.Unlock()
+		close(done)
+	}()
+	time.Sleep(hold)
+	l.Unlock()
+	<-done
+}
+
+// TestWaitObservedOnlyForNamedLocks: a contended acquisition of a named
+// lock observes its wait; a zero-value lock stays uninstrumented. The
+// unnamed lock is held as long as the named one had to be for its
+// waiter to find it taken.
+func TestWaitObservedOnlyForNamedLocks(t *testing.T) {
+	h := waitHist(0)
+	before := h.Count()
+	named := New("test", nil)
+	hold := time.Millisecond
+	for ; h.Count() == before && hold <= 256*time.Millisecond; hold *= 2 {
+		contend(named, hold)
+	}
+	if h.Count() == before {
+		t.Fatal("contended named lock observed no wait")
+	}
+	before = h.Count()
+	var unnamed Lock
+	contend(&unnamed, hold)
+	if d := h.Count() - before; d != 0 {
+		t.Errorf("zero-value lock observed %d waits, want none", d)
 	}
 }
